@@ -7,7 +7,8 @@
 //	ddbench [-quick] [-j N] [-warmup DUR] [-measure DUR] <experiment>...
 //	ddbench all
 //
-// Experiments: table1 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
+// The experiments are the entries of harness.Experiments; ddbench -h lists
+// them.
 package main
 
 import (
@@ -25,13 +26,6 @@ import (
 	"daredevil/internal/sim"
 	"daredevil/internal/walltime"
 )
-
-var experiments = []string{
-	"table1", "fig2", "fig6", "fig7", "fig8", "fig9",
-	"fig10", "fig11", "fig12", "fig13", "fig14",
-	"ext-sched", "ext-wrr", "ext-poll", "ext-virtio", "ext-webapp",
-	"ext-gc", "ext-fault",
-}
 
 func main() { os.Exit(realMain()) }
 
@@ -124,7 +118,7 @@ func realMain() int {
 		return 2
 	}
 	if len(args) == 1 && args[0] == "all" {
-		args = experiments
+		args = harness.ExperimentNames()
 	}
 	for _, dir := range []string{*svgDir, *jsonDir} {
 		if dir == "" {
@@ -136,7 +130,7 @@ func realMain() int {
 		}
 	}
 	for _, name := range args {
-		if err := runExport(os.Stdout, name, sc, *svgDir, *jsonDir); err != nil {
+		if err := run(os.Stdout, name, sc, *svgDir, *jsonDir); err != nil {
 			fmt.Fprintln(os.Stderr, "ddbench:", err)
 			return 1
 		}
@@ -155,15 +149,23 @@ func runObs(dir string, sc harness.Scale) error {
 	if err != nil {
 		return err
 	}
-	for _, out := range []struct {
-		name string
-		data []byte
-	}{
+	return writeArtifacts(dir, []artifact{
 		{"trace.json", d.Trace},
 		{"metrics.csv", d.Metrics},
 		{"metrics.svg", d.SVG},
 		{"flight.txt", d.Flight},
-	} {
+	})
+}
+
+// artifact is one named output file.
+type artifact struct {
+	name string
+	data []byte
+}
+
+// writeArtifacts writes each artifact into dir and reports its path.
+func writeArtifacts(dir string, outs []artifact) error {
+	for _, out := range outs {
 		path := filepath.Join(dir, out.name)
 		if err := os.WriteFile(path, out.data, 0o644); err != nil {
 			return err
@@ -187,75 +189,52 @@ func runProf(dir string, sc harness.Scale) error {
 	if err != nil {
 		return err
 	}
-	outs := []struct {
-		name string
-		data []byte
-	}{
+	outs := []artifact{
 		{"profile.txt", d.Breakdown},
 		{"profile.folded", d.Folded},
 		{"profile.svg", d.SVG},
 		{"profile.json", d.JSON},
 	}
 	for _, c := range d.Cells {
-		outs = append(outs,
-			struct {
-				name string
-				data []byte
-			}{c.Label + ".txt", c.Breakdown},
-			struct {
-				name string
-				data []byte
-			}{c.Label + ".svg", c.SVG})
+		outs = append(outs, artifact{c.Label + ".txt", c.Breakdown}, artifact{c.Label + ".svg", c.SVG})
 	}
-	for _, out := range outs {
-		path := filepath.Join(dir, out.name)
-		if err := os.WriteFile(path, out.data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("[wrote %s]\n", path)
+	if err := writeArtifacts(dir, outs); err != nil {
+		return err
 	}
 	fmt.Printf("[prof grid: %d cells, %d requests profiled, done in %v]\n",
 		len(d.Cells), d.Merged.Requests(), sw.Elapsed().Round(time.Millisecond))
 	return nil
 }
 
-// svgWriter is implemented by results that can render a chart.
-type svgWriter interface {
-	WriteSVG(io.Writer) error
-}
-
-// runWithSVG runs the experiment and, when dir is set and the result can
-// draw itself, writes <name>.svg there too (kept for tests).
-func runWithSVG(w io.Writer, name string, sc harness.Scale, dir string) error {
-	return runExport(w, name, sc, dir, "")
-}
-
-// runExport runs the experiment and optionally writes SVG and JSON files.
-func runExport(w io.Writer, name string, sc harness.Scale, svgDir, jsonDir string) error {
-	res, err := runResult(w, name, sc)
+// run executes one experiment, prints its table, and, when the directories
+// are set, writes <name>.svg (charted figures only) and <name>.json there.
+func run(w io.Writer, name string, sc harness.Scale, svgDir, jsonDir string) error {
+	e, err := harness.FindExperiment(name)
 	if err != nil {
 		return err
 	}
-	if svgDir != "" {
-		if sw, ok := res.(svgWriter); ok {
-			path := filepath.Join(svgDir, name+".svg")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := sw.WriteSVG(f); err != nil {
-				f.Close()
-				return fmt.Errorf("rendering %s: %w", path, err)
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "[wrote %s]\n", path)
+	sw := walltime.Start()
+	t := e.Table(sc)
+	t.WriteText(w)
+	fmt.Fprintf(w, "[%s done in %v]\n", name, sw.Elapsed().Round(time.Millisecond))
+	if svgDir != "" && e.Chart != nil {
+		path := filepath.Join(svgDir, name+".svg")
+		f, err := os.Create(path)
+		if err != nil {
+			return err
 		}
+		if err := e.Chart(t).WriteSVG(f); err != nil {
+			f.Close()
+			return fmt.Errorf("rendering %s: %w", path, err)
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "[wrote %s]\n", path)
 	}
 	if jsonDir != "" {
 		path := filepath.Join(jsonDir, name+".json")
-		data, err := json.MarshalIndent(res, "", "  ")
+		data, err := json.MarshalIndent(t, "", "  ")
 		if err != nil {
 			return fmt.Errorf("encoding %s: %w", path, err)
 		}
@@ -267,70 +246,11 @@ func runExport(w io.Writer, name string, sc harness.Scale, svgDir, jsonDir strin
 	return nil
 }
 
-// run executes one experiment and prints its rows (kept for tests).
-func run(w io.Writer, name string, sc harness.Scale) error {
-	_, err := runResult(w, name, sc)
-	return err
-}
-
-// textWriter is implemented by every experiment result.
-type textWriter interface {
-	WriteText(io.Writer)
-}
-
-func runResult(w io.Writer, name string, sc harness.Scale) (any, error) {
-	sw := walltime.Start()
-	var res textWriter
-	switch name {
-	case "table1":
-		res = harness.RunTable1()
-	case "fig2":
-		res = harness.RunFig2(sc)
-	case "fig6":
-		res = harness.RunFig6(sc)
-	case "fig7":
-		res = harness.RunFig7(sc)
-	case "fig8":
-		res = harness.RunFig8(sc)
-	case "fig9":
-		res = harness.RunFig9(sc)
-	case "fig10":
-		res = harness.RunFig10(sc)
-	case "fig11":
-		res = harness.RunFig11(sc)
-	case "fig12":
-		res = harness.RunFig12(sc)
-	case "fig13":
-		res = harness.RunFig13(sc)
-	case "fig14":
-		res = harness.RunFig14(sc)
-	case "ext-sched":
-		res = harness.RunExtSchedulers(sc)
-	case "ext-wrr":
-		res = harness.RunExtWRR(sc)
-	case "ext-poll":
-		res = harness.RunExtPolling(sc)
-	case "ext-virtio":
-		res = harness.RunExtVirtio(sc)
-	case "ext-webapp":
-		res = harness.RunExtWebapp(sc)
-	case "ext-gc":
-		res = harness.RunExtGC(sc)
-	case "ext-fault":
-		res = harness.RunExtFault(harness.DefaultFaultSeed, sc)
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (want one of %v)", name, experiments)
-	}
-	res.WriteText(w)
-	fmt.Fprintf(w, "[%s done in %v]\n", name, sw.Elapsed().Round(time.Millisecond))
-	return res, nil
-}
-
 func usage() {
 	fmt.Fprintf(os.Stderr, `ddbench regenerates the Daredevil paper's tables and figures.
 
 usage: ddbench [-quick] [-j N] [-warmup DUR] [-measure DUR] <experiment>...
 experiments: %v (or "all")
-`, experiments)
+`, harness.ExperimentNames())
 	flag.PrintDefaults()
 }

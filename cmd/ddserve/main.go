@@ -26,6 +26,16 @@ import (
 	"daredevil/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled connection cannot hold a server goroutine
+// open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer serves h with the daemon's connection limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8077", "listen address")
 	workers := flag.Int("workers", 2, "concurrent job runners")
@@ -49,7 +59,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ddserve:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()

@@ -444,110 +444,36 @@ var (
 // ExperimentNames lists the reproducible paper artifacts plus the
 // extension experiments (Kyber baseline, WRR arbitration, polled
 // completion, §8.1 virtio, aged-device GC, fault injection).
-func ExperimentNames() []string {
-	return []string{"table1", "fig2", "fig6", "fig7", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "fig13", "fig14",
-		"ext-sched", "ext-wrr", "ext-poll", "ext-virtio", "ext-webapp",
-		"ext-gc", "ext-fault"}
-}
+func ExperimentNames() []string { return harness.ExperimentNames() }
 
 // DefaultFaultSeed keys the ext-fault experiment's fault RNG stream.
 const DefaultFaultSeed = harness.DefaultFaultSeed
 
 // RunExperimentJSON regenerates one paper table/figure and returns its
-// result as JSON — the programmatic counterpart of RunExperiment for
-// consumers that post-process results.
+// table as JSON ({name, title, columns, rows, notes}) — the programmatic
+// counterpart of RunExperiment for consumers that post-process results.
 func RunExperimentJSON(name string, sc Scale) ([]byte, error) {
-	res, err := runExperimentResult(name, sc)
+	t, err := runExperiment(name, sc)
 	if err != nil {
 		return nil, err
 	}
-	return json.MarshalIndent(res, "", "  ")
-}
-
-func runExperimentResult(name string, sc Scale) (any, error) {
-	switch name {
-	case "table1":
-		return harness.RunTable1(), nil
-	case "fig2":
-		return harness.RunFig2(sc), nil
-	case "fig6":
-		return harness.RunFig6(sc), nil
-	case "fig7":
-		return harness.RunFig7(sc), nil
-	case "fig8":
-		return harness.RunFig8(sc), nil
-	case "fig9":
-		return harness.RunFig9(sc), nil
-	case "fig10":
-		return harness.RunFig10(sc), nil
-	case "fig11":
-		return harness.RunFig11(sc), nil
-	case "fig12":
-		return harness.RunFig12(sc), nil
-	case "fig13":
-		return harness.RunFig13(sc), nil
-	case "fig14":
-		return harness.RunFig14(sc), nil
-	case "ext-sched":
-		return harness.RunExtSchedulers(sc), nil
-	case "ext-wrr":
-		return harness.RunExtWRR(sc), nil
-	case "ext-poll":
-		return harness.RunExtPolling(sc), nil
-	case "ext-virtio":
-		return harness.RunExtVirtio(sc), nil
-	case "ext-webapp":
-		return harness.RunExtWebapp(sc), nil
-	case "ext-gc":
-		return harness.RunExtGC(sc), nil
-	case "ext-fault":
-		return harness.RunExtFault(DefaultFaultSeed, sc), nil
-	}
-	return nil, fmt.Errorf("daredevil: unknown experiment %q", name)
+	return json.MarshalIndent(t, "", "  ")
 }
 
 // RunExperiment regenerates one paper table/figure, writing its rows to w.
 func RunExperiment(w io.Writer, name string, sc Scale) error {
-	switch name {
-	case "table1":
-		harness.RunTable1().WriteText(w)
-	case "fig2":
-		harness.RunFig2(sc).WriteText(w)
-	case "fig6":
-		harness.RunFig6(sc).WriteText(w)
-	case "fig7":
-		harness.RunFig7(sc).WriteText(w)
-	case "fig8":
-		harness.RunFig8(sc).WriteText(w)
-	case "fig9":
-		harness.RunFig9(sc).WriteText(w)
-	case "fig10":
-		harness.RunFig10(sc).WriteText(w)
-	case "fig11":
-		harness.RunFig11(sc).WriteText(w)
-	case "fig12":
-		harness.RunFig12(sc).WriteText(w)
-	case "fig13":
-		harness.RunFig13(sc).WriteText(w)
-	case "fig14":
-		harness.RunFig14(sc).WriteText(w)
-	case "ext-sched":
-		harness.RunExtSchedulers(sc).WriteText(w)
-	case "ext-wrr":
-		harness.RunExtWRR(sc).WriteText(w)
-	case "ext-poll":
-		harness.RunExtPolling(sc).WriteText(w)
-	case "ext-virtio":
-		harness.RunExtVirtio(sc).WriteText(w)
-	case "ext-webapp":
-		harness.RunExtWebapp(sc).WriteText(w)
-	case "ext-gc":
-		harness.RunExtGC(sc).WriteText(w)
-	case "ext-fault":
-		harness.RunExtFault(DefaultFaultSeed, sc).WriteText(w)
-	default:
-		return fmt.Errorf("daredevil: unknown experiment %q", name)
+	t, err := runExperiment(name, sc)
+	if err != nil {
+		return err
 	}
+	t.WriteText(w)
 	return nil
+}
+
+func runExperiment(name string, sc Scale) (harness.Table, error) {
+	e, err := harness.FindExperiment(name)
+	if err != nil {
+		return harness.Table{}, fmt.Errorf("daredevil: %w", err)
+	}
+	return e.Table(sc), nil
 }

@@ -232,8 +232,10 @@ func TestRunExperimentJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if _, ok := decoded["Rows"]; !ok {
-		t.Fatal("JSON missing Rows")
+	for _, key := range []string{"name", "title", "columns", "rows", "notes"} {
+		if _, ok := decoded[key]; !ok {
+			t.Fatalf("JSON missing %q", key)
+		}
 	}
 	if _, err := RunExperimentJSON("nope", QuickScale); err == nil {
 		t.Fatal("unknown experiment must error")

@@ -114,8 +114,9 @@ func RunCellSpec(spec CellSpec) CellResult {
 
 // AddJob appends one tenant job. Job IDs are assigned from 1000 in add
 // order (matching the historical public-API numbering, which seeds the
-// tenants' random streams).
+// tenants' random streams); the mix's SeedShift perturbs the stream.
 func (c *Cell) AddJob(cfg workload.FIOConfig) {
+	cfg.Seed += c.Mix.SeedShift
 	job := workload.NewJob(1000+len(c.Mix.LJobs)+len(c.Mix.TJobs), cfg)
 	if cfg.Class == block.ClassRT {
 		c.Mix.LJobs = append(c.Mix.LJobs, job)

@@ -69,3 +69,35 @@ func TestCellRunTwicePanics(t *testing.T) {
 	}()
 	cell.Run(spec.Warmup, spec.Measure)
 }
+
+// TestSeedShiftReachesAddedJobs checks that the mix's seed shift perturbs
+// tenants added through Cell.AddJob and Mix.AddTL, not only AddL/AddT: two
+// cells that differ only in the shift must draw different T streams.
+func TestSeedShiftReachesAddedJobs(t *testing.T) {
+	run := func(shift uint64) CellResult {
+		cell := NewCell(SVM(2), Vanilla)
+		cell.Mix.SeedShift = shift
+		cell.AddJob(workload.DefaultLTenant("db", 0))
+		for i := 0; i < 2; i++ {
+			cfg := workload.DefaultTTenant("bg", i)
+			cfg.Pattern = workload.Random
+			cell.AddJob(cfg)
+		}
+		return cell.Run(5*sim.Millisecond, 20*sim.Millisecond)
+	}
+	a, b := run(0), run(7)
+	if a.TTenantLatency.Count == 0 {
+		t.Fatal("no T completions")
+	}
+	if reflect.DeepEqual(a.TTenantLatency, b.TTenantLatency) {
+		t.Errorf("seed shift 7 left the AddJob T latency unchanged: %+v", a.TTenantLatency)
+	}
+
+	// TL-tenants stream sequentially, so the shift shows in their seed.
+	mix := NewMix(NewEnv(SVM(2), Vanilla))
+	mix.SeedShift = 7
+	mix.AddTL(1, 0)
+	if got, want := mix.TJobs[0].Cfg.Seed, workload.DefaultTTenant("fio-TL", 0).Seed+7; got != want {
+		t.Errorf("AddTL seed = %d, want %d", got, want)
+	}
+}

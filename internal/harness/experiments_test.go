@@ -15,12 +15,20 @@ var expScale = Scale{Warmup: 30 * sim.Millisecond, Measure: 120 * sim.Millisecon
 
 func TestTable1MatchesPaper(t *testing.T) {
 	res := RunTable1()
+	// factors reads a row's four design factors as booleans.
+	factors := func(r Row) [4]bool {
+		var f [4]bool
+		for i, col := range []string{"F1 hw-independent", "F2 NQ exploitation", "F3 cross-core autonomy", "F4 multi-namespace"} {
+			f[i] = r.Text(col) == "yes"
+		}
+		return f
+	}
 	dd, ok := res.Row(DareFull)
 	if !ok {
 		t.Fatal("missing daredevil row")
 	}
-	f := dd.Factors
-	if !(f.HardwareIndependence && f.NQExploitation && f.CrossCoreAutonomy && f.MultiNamespace) {
+	f := factors(dd)
+	if !(f[0] && f[1] && f[2] && f[3]) {
 		t.Fatalf("daredevil must satisfy all four factors: %+v", f)
 	}
 	for _, kind := range []StackKind{Vanilla, StaticPart, BlkSwitch} {
@@ -28,8 +36,8 @@ func TestTable1MatchesPaper(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s row", kind)
 		}
-		g := row.Factors
-		if g.HardwareIndependence && g.NQExploitation && g.CrossCoreAutonomy && g.MultiNamespace {
+		g := factors(row)
+		if g[0] && g[1] && g[2] && g[3] {
 			t.Fatalf("%s must not satisfy all four factors", kind)
 		}
 	}
@@ -49,16 +57,16 @@ func TestFig2Shape(t *testing.T) {
 		t.Fatalf("got %d rows", len(res.Rows))
 	}
 	// Interference must grow with T-pressure; separation must stay flat.
-	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-	if last.WithAvg < first.WithAvg*10 {
-		t.Errorf("interference did not inflate: %v -> %v", first.WithAvg, last.WithAvg)
+	first, last := res.At(0), res.At(len(res.Rows)-1)
+	if last.Dur("w/ avg") < first.Dur("w/ avg")*10 {
+		t.Errorf("interference did not inflate: %v -> %v", first.Dur("w/ avg"), last.Dur("w/ avg"))
 	}
-	if last.WithoutAvg > first.WithoutAvg*100 {
-		t.Errorf("separated latency exploded: %v -> %v", first.WithoutAvg, last.WithoutAvg)
+	if last.Dur("w/o avg") > first.Dur("w/o avg")*100 {
+		t.Errorf("separated latency exploded: %v -> %v", first.Dur("w/o avg"), last.Dur("w/o avg"))
 	}
-	if last.WithAvg < 4*last.WithoutAvg {
+	if last.Dur("w/ avg") < 4*last.Dur("w/o avg") {
 		t.Errorf("at 32 T-tenants, interference (%v) must dwarf separation (%v)",
-			last.WithAvg, last.WithoutAvg)
+			last.Dur("w/ avg"), last.Dur("w/o avg"))
 	}
 	var buf bytes.Buffer
 	res.WriteText(&buf)
@@ -73,26 +81,27 @@ func TestFig6Shape(t *testing.T) {
 	}
 	res := RunFig6(expScale)
 	// Daredevil flat, vanilla inflating, throughput comparable.
-	dd32, _ := res.Cell(DareFull, 32)
-	dd2, _ := res.Cell(DareFull, 2)
-	van32, _ := res.Cell(Vanilla, 32)
-	bs4, _ := res.Cell(BlkSwitch, 4)
-	van4, _ := res.Cell(Vanilla, 4)
-	if dd32.Avg > dd2.Avg*4 {
-		t.Errorf("daredevil not flat: %v @2T -> %v @32T", dd2.Avg, dd32.Avg)
+	const avg = "avg (ms)"
+	dd32, _ := res.Row(DareFull, 32)
+	dd2, _ := res.Row(DareFull, 2)
+	van32, _ := res.Row(Vanilla, 32)
+	bs4, _ := res.Row(BlkSwitch, 4)
+	van4, _ := res.Row(Vanilla, 4)
+	if dd32.Dur(avg) > dd2.Dur(avg)*4 {
+		t.Errorf("daredevil not flat: %v @2T -> %v @32T", dd2.Dur(avg), dd32.Dur(avg))
 	}
-	if van32.LOps > 0 && van32.Avg < dd32.Avg*5 {
-		t.Errorf("vanilla (%v) must be >=5x daredevil (%v) at 32T", van32.Avg, dd32.Avg)
+	if !van32.Blocked(avg) && van32.Dur(avg) < dd32.Dur(avg)*5 {
+		t.Errorf("vanilla (%v) must be >=5x daredevil (%v) at 32T", van32.Dur(avg), dd32.Dur(avg))
 	}
-	if bs4.LOps > 0 && van4.LOps > 0 && bs4.Avg >= van4.Avg {
-		t.Errorf("blk-switch (%v) should beat vanilla (%v) at low pressure", bs4.Avg, van4.Avg)
+	if !bs4.Blocked(avg) && !van4.Blocked(avg) && bs4.Dur(avg) >= van4.Dur(avg) {
+		t.Errorf("blk-switch (%v) should beat vanilla (%v) at low pressure", bs4.Dur(avg), van4.Dur(avg))
 	}
-	if dd32.TMBps < van32.TMBps*0.7 {
-		t.Errorf("daredevil throughput %v not comparable to vanilla %v", dd32.TMBps, van32.TMBps)
+	if dd32.Float("T MB/s") < van32.Float("T MB/s")*0.7 {
+		t.Errorf("daredevil throughput %v not comparable to vanilla %v", dd32.Float("T MB/s"), van32.Float("T MB/s"))
 	}
 	// L-IOPS collapse for vanilla, not for daredevil (Fig. 6c).
-	if van32.LKIOPS*5 > dd32.LKIOPS {
-		t.Errorf("vanilla L-KIOPS (%v) should collapse vs daredevil (%v)", van32.LKIOPS, dd32.LKIOPS)
+	if van32.Float("L KIOPS")*5 > dd32.Float("L KIOPS") {
+		t.Errorf("vanilla L-KIOPS (%v) should collapse vs daredevil (%v)", van32.Float("L KIOPS"), dd32.Float("L KIOPS"))
 	}
 }
 
@@ -102,12 +111,12 @@ func TestFig7WSMGivesDaredevilMoreRoom(t *testing.T) {
 	}
 	svm := RunFig6(expScale)
 	wsm := RunFig7(expScale)
-	ddS, _ := svm.Cell(DareFull, 16)
-	ddW, _ := wsm.Cell(DareFull, 16)
+	ddS, _ := svm.Row(DareFull, 16)
+	ddW, _ := wsm.Row(DareFull, 16)
 	// WS-M has 128 NSQs over 24 NCQs: more scheduling space, so Daredevil
 	// should do at least as well as on SV-M (paper: noticeably better).
-	if ddW.Avg > ddS.Avg*3/2 {
-		t.Errorf("daredevil on WS-M (%v) should not be worse than SV-M (%v)", ddW.Avg, ddS.Avg)
+	if ddW.Dur("avg (ms)") > ddS.Dur("avg (ms)")*3/2 {
+		t.Errorf("daredevil on WS-M (%v) should not be worse than SV-M (%v)", ddW.Dur("avg (ms)"), ddS.Dur("avg (ms)"))
 	}
 }
 
@@ -116,13 +125,14 @@ func TestFig8Shape(t *testing.T) {
 		t.Skip("experiment shapes are slow")
 	}
 	res := RunFig8(expScale)
-	if len(res.Series) != len(ComparisonKinds) {
-		t.Fatalf("got %d series", len(res.Series))
+	// One window column plus (Lavg, T MB/s) per stack.
+	if n := (len(res.Columns) - 1) / 2; n != len(ComparisonKinds) {
+		t.Fatalf("got %d series", n)
 	}
 	// blk-switch fluctuates more than daredevil over the last phase.
-	if res.Fluctuation(BlkSwitch) <= res.Fluctuation(DareFull) {
+	if fig8Fluctuation(res, BlkSwitch) <= fig8Fluctuation(res, DareFull) {
 		t.Errorf("blk-switch CV (%v) should exceed daredevil CV (%v)",
-			res.Fluctuation(BlkSwitch), res.Fluctuation(DareFull))
+			fig8Fluctuation(res, BlkSwitch), fig8Fluctuation(res, DareFull))
 	}
 	var buf bytes.Buffer
 	res.WriteText(&buf)
@@ -137,18 +147,19 @@ func TestFig9Shape(t *testing.T) {
 	}
 	res := RunFig9(expScale)
 	// Daredevil performs consistently regardless of cores (§7.1).
-	dd2, _ := res.Cell(DareFull, 2, 32)
-	dd8, _ := res.Cell(DareFull, 8, 32)
-	ratio := float64(dd8.Tail) / float64(dd2.Tail)
+	const tail = "tail p99.9 (ms)"
+	dd2, _ := res.Row(DareFull, 2, 32)
+	dd8, _ := res.Row(DareFull, 8, 32)
+	ratio := float64(dd8.Dur(tail)) / float64(dd2.Dur(tail))
 	if ratio > 3 || ratio < 0.33 {
-		t.Errorf("daredevil tail varies too much with cores: %v @2c vs %v @8c", dd2.Tail, dd8.Tail)
+		t.Errorf("daredevil tail varies too much with cores: %v @2c vs %v @8c", dd2.Dur(tail), dd8.Dur(tail))
 	}
 	// Vanilla remains bad at high pressure on every core count.
 	for _, cores := range []int{2, 4, 8} {
-		van, _ := res.Cell(Vanilla, cores, 32)
-		dd, _ := res.Cell(DareFull, cores, 32)
-		if van.Tail < dd.Tail*3 {
-			t.Errorf("at %d cores vanilla (%v) should be >=3x daredevil (%v)", cores, van.Tail, dd.Tail)
+		van, _ := res.Row(Vanilla, cores, 32)
+		dd, _ := res.Row(DareFull, cores, 32)
+		if van.Dur(tail) < dd.Dur(tail)*3 {
+			t.Errorf("at %d cores vanilla (%v) should be >=3x daredevil (%v)", cores, van.Dur(tail), dd.Dur(tail))
 		}
 	}
 }
@@ -158,16 +169,17 @@ func TestFig10Shape(t *testing.T) {
 		t.Skip("experiment shapes are slow")
 	}
 	res := RunFig10(Scale{Warmup: expScale.Warmup, Measure: 2 * expScale.Measure})
+	const avg = "avg (ms)"
 	for _, n := range NamespaceCounts {
-		dd, ok := res.Cell(DareFull, n)
-		if !ok || dd.LOps == 0 {
+		dd, ok := res.Row(DareFull, n)
+		if !ok || dd.Blocked(avg) {
 			t.Fatalf("daredevil blocked at %d namespaces", n)
 		}
-		van, _ := res.Cell(Vanilla, n)
+		van, _ := res.Row(Vanilla, n)
 		// Vanilla either blocks L-tenants entirely or inflates far beyond
 		// daredevil — the multi-namespace pitfall.
-		if van.LOps > 0 && van.Avg < dd.Avg*3 {
-			t.Errorf("at %d namespaces vanilla (%v) should dwarf daredevil (%v)", n, van.Avg, dd.Avg)
+		if !van.Blocked(avg) && van.Dur(avg) < dd.Dur(avg)*3 {
+			t.Errorf("at %d namespaces vanilla (%v) should dwarf daredevil (%v)", n, van.Dur(avg), dd.Dur(avg))
 		}
 	}
 }
@@ -177,24 +189,25 @@ func TestFig11Shape(t *testing.T) {
 		t.Skip("experiment shapes are slow")
 	}
 	res := RunFig11(expScale)
-	base, _ := res.SingleCell(DareBase, 32)
-	full, _ := res.SingleCell(DareFull, 32)
-	base8, _ := res.SingleCell(DareBase, 8)
-	sched8, _ := res.SingleCell(DareSched, 8)
+	const tail, avg = "tail p99.9 (ms)", "avg (ms)"
+	base, _ := res.Row(fig11Single, DareBase, 32)
+	full, _ := res.Row(fig11Single, DareFull, 32)
+	base8, _ := res.Row(fig11Single, DareBase, 8)
+	sched8, _ := res.Row(fig11Single, DareSched, 8)
 	// dare-base already resists HOL blocking: far below the vanilla range
 	// (~100ms at 32T) with comparable tail to dare-full (§7.3: ~47ms vs
 	// ~40ms on the testbed; "comparable" here means within a small factor).
-	if base.Avg > 40*sim.Millisecond {
-		t.Errorf("dare-base avg %v too high; the decoupled layer alone should resist HOL", base.Avg)
+	if base.Dur(avg) > 40*sim.Millisecond {
+		t.Errorf("dare-base avg %v too high; the decoupled layer alone should resist HOL", base.Dur(avg))
 	}
-	ratio := float64(base.Tail) / float64(full.Tail)
+	ratio := float64(base.Dur(tail)) / float64(full.Dur(tail))
 	if ratio > 3 || ratio < 1.0/3 {
-		t.Errorf("dare-base tail (%v) not comparable to dare-full (%v)", base.Tail, full.Tail)
+		t.Errorf("dare-base tail (%v) not comparable to dare-full (%v)", base.Dur(tail), full.Dur(tail))
 	}
 	// NQ scheduling reduces average latency atop round-robin routing
 	// (paper: 2-4x at moderate pressure).
-	if sched8.Avg >= base8.Avg {
-		t.Errorf("dare-sched avg (%v) should improve on dare-base (%v)", sched8.Avg, base8.Avg)
+	if sched8.Dur(avg) >= base8.Dur(avg) {
+		t.Errorf("dare-sched avg (%v) should improve on dare-base (%v)", sched8.Dur(avg), base8.Dur(avg))
 	}
 }
 
@@ -205,21 +218,22 @@ func TestFig12Shape(t *testing.T) {
 	res := RunFig12(Scale{Warmup: expScale.Warmup, Measure: 2 * expScale.Measure})
 	// Storage-bound ops (YCSB-A updates, Mailserver fsync) improve under
 	// daredevil vs vanilla.
-	vanA, _ := res.Cell("YCSB-A", Vanilla)
-	ddA, _ := res.Cell("YCSB-A", DareFull)
-	if ddA.Metrics[workload.OpUpdate] >= vanA.Metrics[workload.OpUpdate] {
+	const lat = "latency (ms)"
+	vanA, _ := res.Row("YCSB-A", Vanilla, workload.OpUpdate)
+	ddA, _ := res.Row("YCSB-A", DareFull, workload.OpUpdate)
+	if ddA.Dur(lat) >= vanA.Dur(lat) {
 		t.Errorf("daredevil YCSB-A update p99.9 (%v) should beat vanilla (%v)",
-			ddA.Metrics[workload.OpUpdate], vanA.Metrics[workload.OpUpdate])
+			ddA.Dur(lat), vanA.Dur(lat))
 	}
-	vanM, _ := res.Cell("Mailserver", Vanilla)
-	ddM, _ := res.Cell("Mailserver", DareFull)
-	if ddM.Metrics[workload.OpFsync] >= vanM.Metrics[workload.OpFsync] {
+	vanM, _ := res.Row("Mailserver", Vanilla, workload.OpFsync)
+	ddM, _ := res.Row("Mailserver", DareFull, workload.OpFsync)
+	if ddM.Dur(lat) >= vanM.Dur(lat) {
 		t.Errorf("daredevil fsync mean (%v) should beat vanilla (%v)",
-			ddM.Metrics[workload.OpFsync], vanM.Metrics[workload.OpFsync])
+			ddM.Dur(lat), vanM.Dur(lat))
 	}
 	// Applications complete more operations under daredevil.
-	if ddA.Ops <= vanA.Ops {
-		t.Errorf("daredevil YCSB-A ops (%d) should exceed vanilla (%d)", ddA.Ops, vanA.Ops)
+	if ddA.Int("ops") <= vanA.Int("ops") {
+		t.Errorf("daredevil YCSB-A ops (%d) should exceed vanilla (%d)", ddA.Int("ops"), vanA.Int("ops"))
 	}
 }
 
@@ -231,27 +245,28 @@ func TestFig13Shape(t *testing.T) {
 	// Cross-core overheads exist in daredevil (completion delivery costs
 	// more than vanilla's same-core path) but stay a small share of
 	// overall latency (§7.5: at most ~1.7%).
-	dd, _ := res.Cell(DareFull, "L", 12, 12)
-	van, _ := res.Cell(Vanilla, "L", 12, 12)
-	if dd.CompDelay <= van.CompDelay {
-		t.Errorf("daredevil completion delay (%v) should exceed vanilla (%v)", dd.CompDelay, van.CompDelay)
+	const avg, comp, sub, cross = "avg (ms)", "comp-delay (µs)", "sub-wait (µs)", "cross-core"
+	dd, _ := res.Row(DareFull, "L", 12, 12)
+	van, _ := res.Row(Vanilla, "L", 12, 12)
+	if dd.Dur(comp) <= van.Dur(comp) {
+		t.Errorf("daredevil completion delay (%v) should exceed vanilla (%v)", dd.Dur(comp), van.Dur(comp))
 	}
-	if dd.CrossCoreFrac < 0.3 {
-		t.Errorf("daredevil cross-core fraction %v too low for interleaved NQ access", dd.CrossCoreFrac)
+	if dd.Float(cross) < 0.3 {
+		t.Errorf("daredevil cross-core fraction %v too low for interleaved NQ access", dd.Float(cross))
 	}
-	if van.CrossCoreFrac != 0 {
-		t.Errorf("vanilla cross-core fraction %v, want 0 (per-core IRQ affinity)", van.CrossCoreFrac)
+	if van.Float(cross) != 0 {
+		t.Errorf("vanilla cross-core fraction %v, want 0 (per-core IRQ affinity)", van.Float(cross))
 	}
-	share := float64(dd.CompDelay+dd.SubWait) / float64(dd.Avg)
+	share := float64(dd.Dur(comp)+dd.Dur(sub)) / float64(dd.Dur(avg))
 	if share > 0.05 {
 		t.Errorf("cross-core overhead share %v of total latency; paper reports <= ~1.7%%", share)
 	}
 	// With few TL-tenants daredevil's scheduling avoids their NQs.
-	ddLow, _ := res.Cell(DareFull, "L", 12, 4)
-	vanLow, _ := res.Cell(Vanilla, "L", 12, 4)
-	if ddLow.Avg >= vanLow.Avg {
+	ddLow, _ := res.Row(DareFull, "L", 12, 4)
+	vanLow, _ := res.Row(Vanilla, "L", 12, 4)
+	if ddLow.Dur(avg) >= vanLow.Dur(avg) {
 		t.Errorf("with 4 TL-tenants daredevil (%v) should beat vanilla (%v) by avoiding occupied NQs",
-			ddLow.Avg, vanLow.Avg)
+			ddLow.Dur(avg), vanLow.Dur(avg))
 	}
 }
 
@@ -263,17 +278,17 @@ func TestFig14Shape(t *testing.T) {
 	if len(res.Rows) != len(Fig14Intervals)+1 {
 		t.Fatalf("got %d rows", len(res.Rows))
 	}
-	base := res.Rows[0]
-	extreme := res.Rows[len(res.Rows)-1]
+	base := res.At(0)
+	extreme := res.At(len(res.Rows) - 1)
 	// At 10µs updates the storm consumes the CPUs and L-IOPS drops well
 	// below baseline.
-	if extreme.CPUUtil < base.CPUUtil*3 {
-		t.Errorf("update storm CPU util %v should dwarf baseline %v", extreme.CPUUtil, base.CPUUtil)
+	if extreme.Float("CPU util") < base.Float("CPU util")*3 {
+		t.Errorf("update storm CPU util %v should dwarf baseline %v", extreme.Float("CPU util"), base.Float("CPU util"))
 	}
-	if extreme.LIOPSNorm >= 0.9 {
-		t.Errorf("L IOPS at 10µs updates = %v of baseline, want a collapse", extreme.LIOPSNorm)
+	if extreme.Float("L IOPS (norm)") >= 0.9 {
+		t.Errorf("L IOPS at 10µs updates = %v of baseline, want a collapse", extreme.Float("L IOPS (norm)"))
 	}
-	if extreme.Updates == 0 {
+	if extreme.Int("updates") == 0 {
 		t.Error("no updates performed")
 	}
 }

@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"io"
-	"strconv"
-
 	"daredevil/internal/block"
 	"daredevil/internal/kyber"
 	"daredevil/internal/nvme"
@@ -29,85 +26,35 @@ func init() {
 	}
 }
 
-// ExtSchedCell is one (stack, T-count) cell of the scheduler comparison.
-type ExtSchedCell struct {
-	Kind   StackKind
-	TCount int
-	Tail   sim.Duration
-	Avg    sim.Duration
-	TMBps  float64
-	LOps   uint64
-}
-
-// ExtSchedResult compares vanilla, the Kyber-style scheduler, and Daredevil:
-// an I/O scheduler on blk-mq can restore L-latency only by throttling
-// T-requests before the NQs, paying with device utilization.
-type ExtSchedResult struct {
-	Cells []ExtSchedCell
-}
-
-// RunExtSchedulers sweeps T-pressure for the three stacks.
-func RunExtSchedulers(sc Scale) ExtSchedResult {
+// RunExtSchedulers compares vanilla, the Kyber-style scheduler, and
+// Daredevil under rising T-pressure: an I/O scheduler on blk-mq can restore
+// L-latency only by throttling T-requests before the NQs, paying with
+// device utilization.
+func RunExtSchedulers(sc Scale) Table {
 	kinds := []StackKind{Vanilla, Kyber, DareFull}
 	counts := []int{4, 16, 32}
+	t := Table{Title: "Extension: I/O schedulers on blk-mq vs Daredevil", Columns: []Column{
+		{"stack", FmtText}, {"T-tenants", FmtInt}, {"tail p99.9 (ms)", FmtMs}, {"avg (ms)", FmtMs}, {"T MB/s", FmtF1},
+	}}
 	grid := RunMixGrid(SVM(4), kinds, 4, counts, sc)
-	var res ExtSchedResult
 	for ki, kind := range kinds {
 		for ti, n := range counts {
 			r := grid[ki*len(counts)+ti]
-			res.Cells = append(res.Cells, ExtSchedCell{
-				Kind: kind, TCount: n,
-				Tail: r.L.P999, Avg: r.L.Mean, TMBps: r.TMBps, LOps: r.L.Count,
-			})
+			tail, avg := lLatency(r)
+			t.Add(kind, n, tail, avg, r.TMBps)
 		}
 	}
-	return res
+	return t
 }
 
-// WriteText renders the comparison.
-func (r ExtSchedResult) WriteText(w io.Writer) {
-	header(w, "Extension: I/O schedulers on blk-mq vs Daredevil")
-	t := newTable(w)
-	t.row("stack", "T-tenants", "tail p99.9 (ms)", "avg (ms)", "T MB/s")
-	for _, c := range r.Cells {
-		tail, avg := ms(c.Tail), ms(c.Avg)
-		if c.LOps == 0 {
-			tail, avg = "blocked", "blocked"
-		}
-		t.row(string(c.Kind), strconv.Itoa(c.TCount), tail, avg, f1(c.TMBps))
-	}
-	t.flush()
-}
-
-// Cell returns the measurement for (kind, tCount), or false.
-func (r ExtSchedResult) Cell(kind StackKind, tCount int) (ExtSchedCell, bool) {
-	for _, c := range r.Cells {
-		if c.Kind == kind && c.TCount == tCount {
-			return c, true
-		}
-	}
-	return ExtSchedCell{}, false
-}
-
-// ExtWRRRow is one arbitration-mode measurement.
-type ExtWRRRow struct {
-	Arbitration string
-	TCount      int
-	Tail        sim.Duration
-	Avg         sim.Duration
-	TMBps       float64
-}
-
-// ExtWRRResult quantifies what Daredevil gains when the controller
-// arbitration cooperates: with WRR, high-class (L) NSQs are also fetched
+// RunExtWRR runs Daredevil on round-robin and WRR controllers. It
+// quantifies what Daredevil gains when the controller arbitration
+// cooperates: with WRR, high-class (L) NSQs are also fetched
 // preferentially, shaving the fetch-side share of HOL delay.
-type ExtWRRResult struct {
-	Rows []ExtWRRRow
-}
-
-// RunExtWRR runs Daredevil on round-robin and WRR controllers.
-func RunExtWRR(sc Scale) ExtWRRResult {
-	var res ExtWRRResult
+func RunExtWRR(sc Scale) Table {
+	t := Table{Title: "Extension: Daredevil under NVMe controller arbitration modes", Columns: []Column{
+		{"arbitration", FmtText}, {"T-tenants", FmtInt}, {"tail p99.9 (ms)", FmtMs}, {"avg (ms)", FmtMs}, {"T MB/s", FmtF1},
+	}}
 	for _, wrr := range []bool{false, true} {
 		m := SVM(4)
 		name := "round-robin"
@@ -117,46 +64,23 @@ func RunExtWRR(sc Scale) ExtWRRResult {
 		}
 		for _, n := range []int{16, 32} {
 			r := RunMixOnce(m, DareFull, 4, n, sc)
-			res.Rows = append(res.Rows, ExtWRRRow{
-				Arbitration: name, TCount: n,
-				Tail: r.L.P999, Avg: r.L.Mean, TMBps: r.TMBps,
-			})
+			t.Add(name, n, r.L.P999, r.L.Mean, r.TMBps)
 		}
 	}
-	return res
+	return t
 }
 
-// WriteText renders the ablation.
-func (r ExtWRRResult) WriteText(w io.Writer) {
-	header(w, "Extension: Daredevil under NVMe controller arbitration modes")
-	t := newTable(w)
-	t.row("arbitration", "T-tenants", "tail p99.9 (ms)", "avg (ms)", "T MB/s")
-	for _, row := range r.Rows {
-		t.row(row.Arbitration, strconv.Itoa(row.TCount), ms(row.Tail), ms(row.Avg), f1(row.TMBps))
-	}
-	t.flush()
-}
-
-// ExtPollRow is one completion-mode measurement.
-type ExtPollRow struct {
-	Mode    string
-	Tail    sim.Duration
-	Avg     sim.Duration
-	CPUUtil float64
-}
-
-// ExtPollResult contrasts interrupt-driven completion with polling the
-// high-priority NCQs — the latency/CPU trade the paper scopes out (§2.1).
-type ExtPollResult struct {
-	Rows []ExtPollRow
-}
-
-// RunExtPolling runs Daredevil with interrupts, then with 2µs polling on
-// the high-priority NCQs. The workload is L-only: polling's µs-scale win
-// is visible only when the device floor is µs-scale (under T-pressure the
-// ms-scale flash backlog hides it — which is itself a finding).
-func RunExtPolling(sc Scale) ExtPollResult {
-	run := func(poll bool) ExtPollRow {
+// RunExtPolling contrasts interrupt-driven completion with polling the
+// high-priority NCQs — the latency/CPU trade the paper scopes out (§2.1):
+// Daredevil with interrupts, then with 2µs polling on the high-priority
+// NCQs. The workload is L-only: polling's µs-scale win is visible only
+// when the device floor is µs-scale (under T-pressure the ms-scale flash
+// backlog hides it — which is itself a finding).
+func RunExtPolling(sc Scale) Table {
+	t := Table{Title: "Extension: interrupt vs polled completion for L-tenants (Daredevil, 4 L-tenants)", Columns: []Column{
+		{"completion", FmtText}, {"tail p99.9 (µs)", FmtUs}, {"avg (µs)", FmtUs}, {"CPU util", FmtF2},
+	}}
+	for _, poll := range []bool{false, true} {
 		env := NewEnv(SVM(4), DareFull)
 		if poll {
 			half := env.Dev.NumNCQ() / 2
@@ -175,41 +99,19 @@ func RunExtPolling(sc Scale) ExtPollResult {
 		if poll {
 			mode = "polled-high-NCQs"
 		}
-		return ExtPollRow{Mode: mode, Tail: r.L.P999, Avg: r.L.Mean, CPUUtil: r.CPUUtil}
+		t.Add(mode, r.L.P999, r.L.Mean, r.CPUUtil)
 	}
-	return ExtPollResult{Rows: []ExtPollRow{run(false), run(true)}}
+	return t
 }
 
-// WriteText renders the comparison.
-func (r ExtPollResult) WriteText(w io.Writer) {
-	header(w, "Extension: interrupt vs polled completion for L-tenants (Daredevil, 4 L-tenants)")
-	t := newTable(w)
-	t.row("completion", "tail p99.9 (µs)", "avg (µs)", "CPU util")
-	for _, row := range r.Rows {
-		t.row(row.Mode, us(row.Tail), us(row.Avg), f2(row.CPUUtil))
-	}
-	t.flush()
-}
-
-// ExtVirtioRow is one (guest mode, host stack) measurement of guest
-// L-tenant latency.
-type ExtVirtioRow struct {
-	Guest string
-	Host  StackKind
-	Tail  sim.Duration
-	Avg   sim.Duration
-}
-
-// ExtVirtioResult evaluates the §8.1 VM design: only a decoupled guest on a
-// Daredevil host keeps guest L-requests separated end-to-end.
-type ExtVirtioResult struct {
-	Rows []ExtVirtioRow
-}
-
-// RunExtVirtio runs 2 guest L-tenants + 8 guest T-tenants through a VM on
-// each (guest mode, host stack) combination.
-func RunExtVirtio(sc Scale) ExtVirtioResult {
-	var res ExtVirtioResult
+// RunExtVirtio evaluates the §8.1 VM design — only a decoupled guest on a
+// Daredevil host keeps guest L-requests separated end-to-end — by running
+// 2 guest L-tenants + 8 guest T-tenants through a VM on each (guest mode,
+// host stack) combination and reporting guest L-tenant latency.
+func RunExtVirtio(sc Scale) Table {
+	t := Table{Title: "Extension (§8.1): guest L-tenant latency across virtio designs (2 guest L + 8 guest T)", Columns: []Column{
+		{"guest virtio", FmtText}, {"host stack", FmtText}, {"tail p99.9 (ms)", FmtMs}, {"avg (ms)", FmtMs},
+	}}
 	combos := []struct {
 		mode virtio.GuestMode
 		host StackKind
@@ -242,33 +144,9 @@ func RunExtVirtio(sc Scale) ExtVirtioResult {
 		for _, j := range lJobs {
 			lat.Merge(&j.Lat)
 		}
-		res.Rows = append(res.Rows, ExtVirtioRow{
-			Guest: cb.mode.String(), Host: cb.host,
-			Tail: lat.Quantile(0.999), Avg: lat.Mean(),
-		})
+		t.Add(cb.mode.String(), cb.host, lat.Quantile(0.999), lat.Mean())
 	}
-	return res
-}
-
-// WriteText renders the combinations.
-func (r ExtVirtioResult) WriteText(w io.Writer) {
-	header(w, "Extension (§8.1): guest L-tenant latency across virtio designs (2 guest L + 8 guest T)")
-	t := newTable(w)
-	t.row("guest virtio", "host stack", "tail p99.9 (ms)", "avg (ms)")
-	for _, row := range r.Rows {
-		t.row(row.Guest, string(row.Host), ms(row.Tail), ms(row.Avg))
-	}
-	t.flush()
-}
-
-// Row returns the (guest, host) measurement, or false.
-func (r ExtVirtioResult) Row(guest string, host StackKind) (ExtVirtioRow, bool) {
-	for _, row := range r.Rows {
-		if row.Guest == guest && row.Host == host {
-			return row, true
-		}
-	}
-	return ExtVirtioRow{}, false
+	return t
 }
 
 // extraStacks lets extension stacks register additional kinds without

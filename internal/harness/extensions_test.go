@@ -13,23 +13,24 @@ func TestExtSchedulersShape(t *testing.T) {
 		t.Skip("experiment shapes are slow")
 	}
 	res := RunExtSchedulers(expScale)
-	van, _ := res.Cell(Vanilla, 32)
-	ky, _ := res.Cell(Kyber, 32)
-	dd, _ := res.Cell(DareFull, 32)
+	const avg, tput = "avg (ms)", "T MB/s"
+	van, _ := res.Row(Vanilla, 32)
+	ky, _ := res.Row(Kyber, 32)
+	dd, _ := res.Row(DareFull, 32)
 	// Both mechanisms defeat vanilla's HOL collapse...
-	if van.LOps > 0 {
-		if ky.Avg*3 >= van.Avg {
-			t.Errorf("kyber avg (%v) should be far below vanilla (%v)", ky.Avg, van.Avg)
+	if !van.Blocked(avg) {
+		if ky.Dur(avg)*3 >= van.Dur(avg) {
+			t.Errorf("kyber avg (%v) should be far below vanilla (%v)", ky.Dur(avg), van.Dur(avg))
 		}
-		if dd.Avg*3 >= van.Avg {
-			t.Errorf("daredevil avg (%v) should be far below vanilla (%v)", dd.Avg, van.Avg)
+		if dd.Dur(avg)*3 >= van.Dur(avg) {
+			t.Errorf("daredevil avg (%v) should be far below vanilla (%v)", dd.Dur(avg), van.Dur(avg))
 		}
 	}
 	// ...with comparable throughput in this simulator (see EXPERIMENTS.md
 	// for why throttling is cheap here).
-	if ky.TMBps < van.TMBps*0.7 || dd.TMBps < van.TMBps*0.7 {
+	if ky.Float(tput) < van.Float(tput)*0.7 || dd.Float(tput) < van.Float(tput)*0.7 {
 		t.Errorf("throughputs diverged: kyber %.0f daredevil %.0f vanilla %.0f",
-			ky.TMBps, van.TMBps, dd.TMBps)
+			ky.Float(tput), van.Float(tput), dd.Float(tput))
 	}
 	var buf bytes.Buffer
 	res.WriteText(&buf)
@@ -46,23 +47,14 @@ func TestExtWRRShape(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("got %d rows", len(res.Rows))
 	}
-	var rr, wrr *ExtWRRRow
-	for i := range res.Rows {
-		if res.Rows[i].TCount != 32 {
-			continue
-		}
-		if res.Rows[i].Arbitration == "round-robin" {
-			rr = &res.Rows[i]
-		} else {
-			wrr = &res.Rows[i]
-		}
-	}
-	if rr == nil || wrr == nil {
+	rr, ok1 := res.Row("round-robin", 32)
+	wrr, ok2 := res.Row("weighted-rr", 32)
+	if !ok1 || !ok2 {
 		t.Fatal("missing rows")
 	}
 	// Hardware fetch priority should not hurt, and typically helps.
-	if wrr.Avg > rr.Avg*11/10 {
-		t.Errorf("WRR avg (%v) worse than RR (%v)", wrr.Avg, rr.Avg)
+	if wrr.Dur("avg (ms)") > rr.Dur("avg (ms)")*11/10 {
+		t.Errorf("WRR avg (%v) worse than RR (%v)", wrr.Dur("avg (ms)"), rr.Dur("avg (ms)"))
 	}
 	var buf bytes.Buffer
 	res.WriteText(&buf)
@@ -79,13 +71,13 @@ func TestExtPollingShape(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("got %d rows", len(res.Rows))
 	}
-	irq, poll := res.Rows[0], res.Rows[1]
-	if irq.Mode != "interrupts" || poll.Mode != "polled-high-NCQs" {
+	irq, poll := res.At(0), res.At(1)
+	if irq.Text("completion") != "interrupts" || poll.Text("completion") != "polled-high-NCQs" {
 		t.Fatalf("row order wrong: %+v", res.Rows)
 	}
 	// At the µs floor polling should be at least as fast on average.
-	if poll.Avg > irq.Avg*11/10 {
-		t.Errorf("polled avg (%v) worse than interrupts (%v)", poll.Avg, irq.Avg)
+	if poll.Dur("avg (µs)") > irq.Dur("avg (µs)")*11/10 {
+		t.Errorf("polled avg (%v) worse than interrupts (%v)", poll.Dur("avg (µs)"), irq.Dur("avg (µs)"))
 	}
 	var buf bytes.Buffer
 	res.WriteText(&buf)
@@ -99,6 +91,7 @@ func TestExtVirtioShape(t *testing.T) {
 		t.Skip("experiment shapes are slow")
 	}
 	res := RunExtVirtio(expScale)
+	const avg = "avg (ms)"
 	mixedVan, ok1 := res.Row("guest-mixed", Vanilla)
 	mixedDD, ok2 := res.Row("guest-mixed", DareFull)
 	decoupled, ok3 := res.Row("guest-decoupled", DareFull)
@@ -106,14 +99,14 @@ func TestExtVirtioShape(t *testing.T) {
 		t.Fatal("missing combinations")
 	}
 	// A Daredevil host cannot help a mixed guest...
-	ratio := float64(mixedDD.Avg) / float64(mixedVan.Avg)
+	ratio := float64(mixedDD.Dur(avg)) / float64(mixedVan.Dur(avg))
 	if ratio < 0.8 || ratio > 1.2 {
 		t.Errorf("mixed guest on daredevil (%v) should match vanilla (%v): host can't see guest SLAs",
-			mixedDD.Avg, mixedVan.Avg)
+			mixedDD.Dur(avg), mixedVan.Dur(avg))
 	}
 	// ...but per-SLA guest VQs restore the separation.
-	if decoupled.Avg*2 >= mixedDD.Avg {
-		t.Errorf("decoupled guest (%v) should be well below mixed (%v)", decoupled.Avg, mixedDD.Avg)
+	if decoupled.Dur(avg)*2 >= mixedDD.Dur(avg) {
+		t.Errorf("decoupled guest (%v) should be well below mixed (%v)", decoupled.Dur(avg), mixedDD.Dur(avg))
 	}
 	var buf bytes.Buffer
 	res.WriteText(&buf)
@@ -144,11 +137,11 @@ func TestSVGWritersProduceSVG(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	check("fig2", RunFig2(sc).WriteSVG(&buf), &buf)
+	check("fig2", fig2Chart(RunFig2(sc)).WriteSVG(&buf), &buf)
 	buf.Reset()
-	check("fig6", RunFig6(sc).WriteSVG(&buf), &buf)
+	check("fig6", pressureChart("SV-M")(RunFig6(sc)).WriteSVG(&buf), &buf)
 	buf.Reset()
-	check("fig14", RunFig14(sc).WriteSVG(&buf), &buf)
+	check("fig14", fig14Chart(RunFig14(sc)).WriteSVG(&buf), &buf)
 }
 
 func TestExtWebappShape(t *testing.T) {
@@ -161,17 +154,18 @@ func TestExtWebappShape(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("missing rows")
 	}
+	const page, ck = "page avg (ms)", "checkpoint avg (ms)"
 	// Checkpoint bursts must spike the vanilla page loads far above
 	// Daredevil's, while checkpoints take comparable time on both.
-	if dd.WebAvg*3 >= van.WebAvg {
-		t.Errorf("daredevil page avg (%v) should be well below vanilla (%v)", dd.WebAvg, van.WebAvg)
+	if dd.Dur(page)*3 >= van.Dur(page) {
+		t.Errorf("daredevil page avg (%v) should be well below vanilla (%v)", dd.Dur(page), van.Dur(page))
 	}
-	if van.Checkpoints == 0 || dd.Checkpoints == 0 {
+	if van.Int("checkpoints") == 0 || dd.Int("checkpoints") == 0 {
 		t.Fatal("no checkpoints completed")
 	}
-	ratio := float64(dd.CheckpointAvg) / float64(van.CheckpointAvg)
+	ratio := float64(dd.Dur(ck)) / float64(van.Dur(ck))
 	if ratio > 1.3 {
-		t.Errorf("daredevil checkpoint time %v vs vanilla %v: trainer pays too much", dd.CheckpointAvg, van.CheckpointAvg)
+		t.Errorf("daredevil checkpoint time %v vs vanilla %v: trainer pays too much", dd.Dur(ck), van.Dur(ck))
 	}
 	var buf bytes.Buffer
 	res.WriteText(&buf)

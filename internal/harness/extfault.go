@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"daredevil/internal/block"
 	"daredevil/internal/fault"
@@ -98,12 +97,6 @@ type ExtFaultCell struct {
 	Recovery RecoveryCounters
 }
 
-// ExtFaultResult is the full sweep.
-type ExtFaultResult struct {
-	Seed  uint64
-	Cells []ExtFaultCell
-}
-
 // RunExtFaultCell runs one stack under one fault profile: 4 L-tenants and 2
 // T-tenants with the fault window spanning the second quarter of the
 // measurement phase, so the window's onset, steady fault pressure, and the
@@ -172,7 +165,12 @@ func RunExtFaultCell(kind StackKind, profile FaultProfile, seed uint64, sc Scale
 }
 
 // RunExtFault sweeps stacks x fault profiles under one seed.
-func RunExtFault(seed uint64, sc Scale) ExtFaultResult {
+func RunExtFault(seed uint64, sc Scale) Table {
+	return extFaultTable(seed, extFaultCells(seed, sc))
+}
+
+// extFaultCells runs the sweep's cells in stack-major order.
+func extFaultCells(seed uint64, sc Scale) []ExtFaultCell {
 	type spec struct {
 		kind    StackKind
 		profile FaultProfile
@@ -183,40 +181,35 @@ func RunExtFault(seed uint64, sc Scale) ExtFaultResult {
 			specs = append(specs, spec{kind, p})
 		}
 	}
-	return ExtFaultResult{Seed: seed, Cells: RunCells(len(specs), func(i int) ExtFaultCell {
+	return RunCells(len(specs), func(i int) ExtFaultCell {
 		s := specs[i]
 		return RunExtFaultCell(s.kind, s.profile, seed, sc)
-	})}
+	})
 }
 
-// WriteText renders the sweep.
-func (r ExtFaultResult) WriteText(w io.Writer) {
-	header(w, fmt.Sprintf("Extension: fault injection and host recovery (seed %d, 4 L + 2 T)", r.Seed))
-	t := newTable(w)
-	t.row("stack", "profile", "L good kIOPS", "T good MB/s", "failed",
-		"in-win p99 (ms)", "in-win p99.9", "post p99", "recover (ms)",
-		"timeouts", "aborts", "resets", "requeued", "terminal")
-	for _, c := range r.Cells {
-		t.row(string(c.Kind), string(c.Profile), f1(c.LGoodKIOPS), f1(c.TGoodMBps),
-			u64(c.FailedOps), ms(c.InWinP99), ms(c.InWinP999), ms(c.PostWinP99),
-			ms(c.RecoveryTime), u64(c.Recovery.Timeouts), u64(c.Recovery.Aborts),
-			u64(c.Recovery.Resets), u64(c.Recovery.CancelRequeues),
-			u64(c.Recovery.TerminalFailures))
+// extFaultTable renders the sweep's cells as rows plus the narration.
+func extFaultTable(seed uint64, cells []ExtFaultCell) Table {
+	t := Table{
+		Title: fmt.Sprintf("Extension: fault injection and host recovery (seed %d, 4 L + 2 T)", seed),
+		Columns: []Column{
+			{"stack", FmtText}, {"profile", FmtText}, {"L good kIOPS", FmtF1}, {"T good MB/s", FmtF1},
+			{"failed", FmtInt}, {"in-win p99 (ms)", FmtMs}, {"in-win p99.9", FmtMs}, {"post p99", FmtMs},
+			{"recover (ms)", FmtMs}, {"timeouts", FmtInt}, {"aborts", FmtInt}, {"resets", FmtInt},
+			{"requeued", FmtInt}, {"terminal", FmtInt},
+		},
+		Notes: []string{
+			"The fault window covers the second quarter of the measurement phase.",
+			"Brownout losses surface as expiry timeouts and requeues; lossy CQEs add",
+			"abort races and controller resets; wearout shows the FTL absorbing",
+			"program failures as grown-bad blocks. Recovery time is how long the",
+			"backlog from the window takes to drain after it closes.",
+		},
 	}
-	t.flush()
-	fmt.Fprintln(w, "\nThe fault window covers the second quarter of the measurement phase.")
-	fmt.Fprintln(w, "Brownout losses surface as expiry timeouts and requeues; lossy CQEs add")
-	fmt.Fprintln(w, "abort races and controller resets; wearout shows the FTL absorbing")
-	fmt.Fprintln(w, "program failures as grown-bad blocks. Recovery time is how long the")
-	fmt.Fprintln(w, "backlog from the window takes to drain after it closes.")
-}
-
-// Cell returns the (kind, profile) measurement, or false.
-func (r ExtFaultResult) Cell(kind StackKind, profile FaultProfile) (ExtFaultCell, bool) {
-	for _, c := range r.Cells {
-		if c.Kind == kind && c.Profile == profile {
-			return c, true
-		}
+	for _, c := range cells {
+		t.Add(c.Kind, c.Profile, c.LGoodKIOPS, c.TGoodMBps, c.FailedOps,
+			c.InWinP99, c.InWinP999, c.PostWinP99, c.RecoveryTime,
+			c.Recovery.Timeouts, c.Recovery.Aborts, c.Recovery.Resets,
+			c.Recovery.CancelRequeues, c.Recovery.TerminalFailures)
 	}
-	return ExtFaultCell{}, false
+	return t
 }

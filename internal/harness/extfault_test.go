@@ -89,20 +89,26 @@ func TestExtFaultDeterminismAcrossParallelism(t *testing.T) {
 	defer SetParallelism(Parallelism())
 
 	SetParallelism(1)
-	serial := RunExtFault(DefaultFaultSeed, tinyScale)
+	serial := extFaultCells(DefaultFaultSeed, tinyScale)
 	SetParallelism(8)
-	parallel := RunExtFault(DefaultFaultSeed, tinyScale)
+	parallel := extFaultCells(DefaultFaultSeed, tinyScale)
 
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("ext-fault differs between -j 1 and -j 8:\nserial:   %+v\nparallel: %+v",
 			serial, parallel)
 	}
-	if len(serial.Cells) == 0 {
+	if len(serial) == 0 {
 		t.Fatal("ext-fault returned no cells; the comparison is vacuous")
 	}
 	// Make sure the comparison covered live fault machinery, not a healthy
 	// run: the brownout window must have lost and expired commands.
-	c, ok := serial.Cell(Vanilla, FaultBrownout)
+	var c ExtFaultCell
+	ok := false
+	for _, cell := range serial {
+		if cell.Kind == Vanilla && cell.Profile == FaultBrownout {
+			c, ok = cell, true
+		}
+	}
 	if !ok {
 		t.Fatal("grid is missing the vanilla brownout cell")
 	}
@@ -135,19 +141,19 @@ func TestExtFaultCellShapes(t *testing.T) {
 	}
 }
 
-// TestExtFaultResultLookupAndText covers the sweep container: Cell() finds
-// exactly the cells that exist, and the rendering includes the table and
-// narration.
+// TestExtFaultResultLookupAndText covers the sweep's table: a row lookup
+// finds exactly the cells that exist, and the rendering includes the table
+// and narration.
 func TestExtFaultResultLookupAndText(t *testing.T) {
-	res := ExtFaultResult{Seed: 42, Cells: []ExtFaultCell{
+	res := extFaultTable(42, []ExtFaultCell{
 		{Kind: Vanilla, Profile: FaultBrownout, LGoodKIOPS: 12.5},
 		{Kind: DareFull, Profile: FaultWearout, TGoodMBps: 800},
-	}}
-	if c, ok := res.Cell(Vanilla, FaultBrownout); !ok || c.LGoodKIOPS != 12.5 {
-		t.Fatalf("Cell lookup failed: %+v %v", c, ok)
+	})
+	if c, ok := res.Row(Vanilla, FaultBrownout); !ok || c.Float("L good kIOPS") != 12.5 {
+		t.Fatalf("Row lookup failed: %+v %v", c, ok)
 	}
-	if _, ok := res.Cell(BlkSwitch, FaultLossy); ok {
-		t.Fatal("Cell found a missing combination")
+	if _, ok := res.Row(BlkSwitch, FaultLossy); ok {
+		t.Fatal("Row found a missing combination")
 	}
 	var buf bytes.Buffer
 	res.WriteText(&buf)

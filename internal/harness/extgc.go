@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-
 	"daredevil/internal/ftl"
 	"daredevil/internal/sim"
 	"daredevil/internal/workload"
@@ -45,11 +42,6 @@ type ExtGCCell struct {
 	LTail sim.Duration
 	LAvg  sim.Duration
 	TMBps float64
-}
-
-// ExtGCResult is the full sweep.
-type ExtGCResult struct {
-	Cells []ExtGCCell
 }
 
 // RunExtGCCell runs one aged-device configuration: 4 L-tenants against 4
@@ -102,7 +94,7 @@ func RunExtGCCell(kind StackKind, opPct float64, trim bool, sc Scale) ExtGCCell 
 }
 
 // RunExtGC sweeps stacks x over-provisioning x trim on the aged device.
-func RunExtGC(sc Scale) ExtGCResult {
+func RunExtGC(sc Scale) Table {
 	type spec struct {
 		kind StackKind
 		op   float64
@@ -116,39 +108,33 @@ func RunExtGC(sc Scale) ExtGCResult {
 			}
 		}
 	}
-	return ExtGCResult{Cells: RunCells(len(specs), func(i int) ExtGCCell {
+	return extGCTable(RunCells(len(specs), func(i int) ExtGCCell {
 		s := specs[i]
 		return RunExtGCCell(s.kind, s.op, s.trim, sc)
-	})}
+	}))
 }
 
-// WriteText renders the sweep.
-func (r ExtGCResult) WriteText(w io.Writer) {
-	header(w, "Extension: aged device with FTL garbage collection (4 L + 4 overwrite T)")
-	t := newTable(w)
-	t.row("stack", "OP%", "trim", "WA", "GC runs", "GC p99 (ms)", "fg GC",
-		"L p99.9 (ms)", "L avg (ms)", "T MB/s")
-	for _, c := range r.Cells {
+// extGCTable renders the sweep's cells as rows plus the narration.
+func extGCTable(cells []ExtGCCell) Table {
+	t := Table{
+		Title: "Extension: aged device with FTL garbage collection (4 L + 4 overwrite T)",
+		Columns: []Column{
+			{"stack", FmtText}, {"OP%", FmtF1}, {"trim", FmtText}, {"WA", FmtF2}, {"GC runs", FmtInt},
+			{"GC p99 (ms)", FmtMs}, {"fg GC", FmtInt}, {"L p99.9 (ms)", FmtMs}, {"L avg (ms)", FmtMs}, {"T MB/s", FmtF1},
+		},
+		Notes: []string{
+			"WA rises as over-provisioning shrinks; TRIM lowers WA by telling GC",
+			"which pages are dead. GC inflates every stack's L-tail — device-internal",
+			"interference no queue separation removes (§8.1) — but the stack ordering",
+			"survives aging.",
+		},
+	}
+	for _, c := range cells {
 		trim := "off"
 		if c.Trim {
 			trim = "on"
 		}
-		t.row(string(c.Kind), f1(c.OPPct), trim, f2(c.WA), u64(c.GCRuns),
-			ms(c.GCPauseP99), u64(c.ForegroundGCs), ms(c.LTail), ms(c.LAvg), f1(c.TMBps))
+		t.Add(c.Kind, c.OPPct, trim, c.WA, c.GCRuns, c.GCPauseP99, c.ForegroundGCs, c.LTail, c.LAvg, c.TMBps)
 	}
-	t.flush()
-	fmt.Fprintln(w, "\nWA rises as over-provisioning shrinks; TRIM lowers WA by telling GC")
-	fmt.Fprintln(w, "which pages are dead. GC inflates every stack's L-tail — device-internal")
-	fmt.Fprintln(w, "interference no queue separation removes (§8.1) — but the stack ordering")
-	fmt.Fprintln(w, "survives aging.")
-}
-
-// Cell returns the (kind, op, trim) measurement, or false.
-func (r ExtGCResult) Cell(kind StackKind, op float64, trim bool) (ExtGCCell, bool) {
-	for _, c := range r.Cells {
-		if c.Kind == kind && c.OPPct == op && c.Trim == trim {
-			return c, true
-		}
-	}
-	return ExtGCCell{}, false
+	return t
 }

@@ -88,19 +88,19 @@ func TestExtGCShapes(t *testing.T) {
 	}
 }
 
-// TestExtGCResultLookupAndText covers the sweep container: Cell() finds
-// exactly the cells that exist, and the rendering includes the table and
-// narration.
+// TestExtGCResultLookupAndText covers the sweep's table: a row lookup
+// finds exactly the cells that exist, and the rendering includes the table
+// and narration.
 func TestExtGCResultLookupAndText(t *testing.T) {
-	res := ExtGCResult{Cells: []ExtGCCell{
+	res := extGCTable([]ExtGCCell{
 		{Kind: Vanilla, OPPct: 7, Trim: false, WA: 4.5},
 		{Kind: DareFull, OPPct: 28, Trim: true, WA: 1.3},
-	}}
-	if c, ok := res.Cell(Vanilla, 7, false); !ok || c.WA != 4.5 {
-		t.Fatalf("Cell lookup failed: %+v %v", c, ok)
+	})
+	if c, ok := res.Row(Vanilla, 7, "off"); !ok || c.Float("WA") != 4.5 {
+		t.Fatalf("Row lookup failed: %+v %v", c, ok)
 	}
-	if _, ok := res.Cell(BlkSwitch, 7, false); ok {
-		t.Fatal("Cell found a missing combination")
+	if _, ok := res.Row(BlkSwitch, 7, "off"); ok {
+		t.Fatal("Row found a missing combination")
 	}
 	var buf bytes.Buffer
 	res.WriteText(&buf)

@@ -1,35 +1,20 @@
 package harness
 
 import (
-	"io"
-
 	"daredevil/internal/sim"
 	"daredevil/internal/workload"
 )
 
-// ExtWebappRow is one stack's measurement of the paper's introductory
-// scenario: an interactive web application sharing the SSD with a
-// deep-learning trainer that periodically checkpoints model state.
-type ExtWebappRow struct {
-	Kind StackKind
-	// Web-app page-load latency (open-loop 4KB reads).
-	WebAvg  sim.Duration
-	WebP99  sim.Duration
-	WebP999 sim.Duration
-	// Checkpoint duration and count.
-	CheckpointAvg sim.Duration
-	Checkpoints   uint64
-}
-
-// ExtWebappResult reproduces the §1 motivation as a tracked experiment.
-type ExtWebappResult struct {
-	Rows []ExtWebappRow
-}
-
-// RunExtWebapp runs the web app (5k req/s open loop) co-located with a
-// 256 MiB / 500 ms checkpointer on each comparison stack.
-func RunExtWebapp(sc Scale) ExtWebappResult {
-	var res ExtWebappResult
+// RunExtWebapp reproduces the §1 motivation as a tracked experiment: an
+// interactive web application (5k req/s open-loop 4KB page loads) sharing
+// the SSD with a deep-learning trainer that checkpoints 256 MiB of model
+// state every 500 ms, on each comparison stack. It reports page-load
+// latency and checkpoint duration and count.
+func RunExtWebapp(sc Scale) Table {
+	t := Table{Title: "Extension (§1): interactive web app + DL checkpointing trainer", Columns: []Column{
+		{"stack", FmtText}, {"page avg (ms)", FmtMs}, {"page p99 (ms)", FmtMs}, {"page p99.9 (ms)", FmtMs},
+		{"checkpoint avg (ms)", FmtMs}, {"checkpoints", FmtInt},
+	}}
 	for _, kind := range ComparisonKinds {
 		env := NewEnv(SVM(4), kind)
 
@@ -57,34 +42,7 @@ func RunExtWebapp(sc Scale) ExtWebappResult {
 		env.Eng.RunUntil(sim.Time(warm + measure))
 
 		w := web.Lat.Snapshot()
-		res.Rows = append(res.Rows, ExtWebappRow{
-			Kind:   kind,
-			WebAvg: w.Mean, WebP99: w.P99, WebP999: w.P999,
-			CheckpointAvg: ck.Durations.Mean(),
-			Checkpoints:   ck.Completed,
-		})
+		t.Add(kind, w.Mean, w.P99, w.P999, ck.Durations.Mean(), ck.Completed)
 	}
-	return res
-}
-
-// WriteText renders the scenario rows.
-func (r ExtWebappResult) WriteText(w io.Writer) {
-	header(w, "Extension (§1): interactive web app + DL checkpointing trainer")
-	t := newTable(w)
-	t.row("stack", "page avg (ms)", "page p99 (ms)", "page p99.9 (ms)", "checkpoint avg (ms)", "checkpoints")
-	for _, row := range r.Rows {
-		t.row(string(row.Kind), ms(row.WebAvg), ms(row.WebP99), ms(row.WebP999),
-			ms(row.CheckpointAvg), u64(row.Checkpoints))
-	}
-	t.flush()
-}
-
-// Row returns the measurement for kind, or false.
-func (r ExtWebappResult) Row(kind StackKind) (ExtWebappRow, bool) {
-	for _, row := range r.Rows {
-		if row.Kind == kind {
-			return row, true
-		}
-	}
-	return ExtWebappRow{}, false
+	return t
 }

@@ -1,38 +1,19 @@
 package harness
 
 import (
-	"io"
 	"strconv"
 
+	"daredevil/internal/plot"
 	"daredevil/internal/sim"
 )
 
 // NamespaceCounts is the §7.2 sweep.
 var NamespaceCounts = []int{4, 8, 12}
 
-// Fig10Cell is one (stack, namespace-count) measurement.
-type Fig10Cell struct {
-	Kind       StackKind
-	Namespaces int
-	LTenants   int
-	TTenants   int
-	Tail       sim.Duration
-	Avg        sim.Duration
-	TMBps      float64
-	// LOps counts L completions in the window; zero means total blockage.
-	LOps uint64
-}
-
-// Fig10Result reproduces Figure 10: multi-namespace scenarios where each
-// namespace hosts only L- or T-tenants, yet the multi-tenancy issue
-// persists because namespaces share the NQ set (§3.2, Figure 3c).
-type Fig10Result struct {
-	Cells []Fig10Cell
-}
-
-// RunMultiNS runs one multi-namespace cell: nsCount namespaces at a 1:3
-// L:T ratio, 2 L-tenants per L-ns and 8 T-tenants per T-ns, on 4 cores.
-func RunMultiNS(kind StackKind, nsCount int, sc Scale) Fig10Cell {
+// runMultiNS runs one multi-namespace cell: nsCount namespaces at a 1:3
+// L:T ratio, 2 L-tenants per L-ns and 8 T-tenants per T-ns, on 4 cores. It
+// returns the window's result and the L and T tenant counts.
+func runMultiNS(kind StackKind, nsCount int, sc Scale) (MixResult, int, int) {
 	env := NewEnv(SVM(4), kind)
 	env.CreateNamespaces(nsCount)
 	mix := NewMix(env)
@@ -51,46 +32,53 @@ func RunMultiNS(kind StackKind, nsCount int, sc Scale) Fig10Cell {
 	env.Eng.RunUntil(sim.Time(sc.Warmup))
 	mix.ResetStats()
 	env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-	r := mix.Collect(sc.Measure)
-	return Fig10Cell{
-		Kind: kind, Namespaces: nsCount,
-		LTenants: len(mix.LJobs), TTenants: len(mix.TJobs),
-		Tail: r.L.P999, Avg: r.L.Mean, TMBps: r.TMBps,
-		LOps: r.L.Count,
-	}
+	return mix.Collect(sc.Measure), len(mix.LJobs), len(mix.TJobs)
 }
 
-// RunFig10 sweeps namespace counts for the comparison targets.
-func RunFig10(sc Scale) Fig10Result {
+// RunFig10 reproduces Figure 10: multi-namespace scenarios where each
+// namespace hosts only L- or T-tenants, yet the multi-tenancy issue
+// persists because namespaces share the NQ set (§3.2, Figure 3c). It
+// sweeps namespace counts for the comparison targets.
+func RunFig10(sc Scale) Table {
+	t := Table{Title: "Figure 10: multi-namespace scenarios (L:T namespaces = 1:3)", Columns: []Column{
+		{"stack", FmtText}, {"namespaces", FmtInt}, {"L/T tenants", FmtText},
+		{"tail p99.9 (ms)", FmtMs}, {"avg (ms)", FmtMs}, {"T MB/s", FmtF1},
+	}}
+	type cell struct {
+		r      MixResult
+		nL, nT int
+	}
 	nNS := len(NamespaceCounts)
-	return Fig10Result{Cells: RunCells(len(ComparisonKinds)*nNS, func(i int) Fig10Cell {
-		return RunMultiNS(ComparisonKinds[i/nNS], NamespaceCounts[i%nNS], sc)
-	})}
+	for i, c := range RunCells(len(ComparisonKinds)*nNS, func(i int) cell {
+		r, nL, nT := runMultiNS(ComparisonKinds[i/nNS], NamespaceCounts[i%nNS], sc)
+		return cell{r, nL, nT}
+	}) {
+		tail, avg := lLatency(c.r)
+		t.Add(ComparisonKinds[i/nNS], NamespaceCounts[i%nNS],
+			strconv.Itoa(c.nL)+"/"+strconv.Itoa(c.nT), tail, avg, c.r.TMBps)
+	}
+	return t
 }
 
-// WriteText renders the panels.
-func (r Fig10Result) WriteText(w io.Writer) {
-	header(w, "Figure 10: multi-namespace scenarios (L:T namespaces = 1:3)")
-	t := newTable(w)
-	t.row("stack", "namespaces", "L/T tenants", "tail p99.9 (ms)", "avg (ms)", "T MB/s")
-	for _, c := range r.Cells {
-		tail, avg := ms(c.Tail), ms(c.Avg)
-		if c.LOps == 0 {
-			tail, avg = "blocked", "blocked"
-		}
-		t.row(string(c.Kind), strconv.Itoa(c.Namespaces),
-			strconv.Itoa(c.LTenants)+"/"+strconv.Itoa(c.TTenants),
-			tail, avg, f1(c.TMBps))
+// fig10Chart draws average latency bars per namespace count (blocked
+// cells as zero).
+func fig10Chart(t Table) *plot.Chart {
+	var cats []string
+	for _, n := range NamespaceCounts {
+		cats = append(cats, strconv.Itoa(n)+" ns")
 	}
-	t.flush()
-}
-
-// Cell returns the measurement for (kind, nsCount), or false.
-func (r Fig10Result) Cell(kind StackKind, nsCount int) (Fig10Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Kind == kind && c.Namespaces == nsCount {
-			return c, true
-		}
+	c := &plot.Chart{
+		Title:  "Figure 10: multi-namespace L-tenant average latency",
+		XLabel: "namespaces", YLabel: "avg latency (ms, log)",
+		Kind: plot.Bars, LogY: true, Categories: cats,
 	}
-	return Fig10Cell{}, false
+	for _, kind := range ComparisonKinds {
+		var y []float64
+		for _, n := range NamespaceCounts {
+			r, ok := t.Row(kind, n)
+			y = append(y, msOrZero(r, ok, "avg (ms)"))
+		}
+		c.Series = append(c.Series, plot.Series{Name: string(kind), Y: y})
+	}
+	return c
 }

@@ -1,36 +1,21 @@
 package harness
 
-import (
-	"io"
-	"strconv"
-
-	"daredevil/internal/sim"
-)
+import "daredevil/internal/plot"
 
 // AblationKinds are the §7.3 subsystem decomposition targets.
 var AblationKinds = []StackKind{DareBase, DareSched, DareFull}
 
-// Fig11Cell is one ablation measurement.
-type Fig11Cell struct {
-	Kind StackKind
-	// X is the T-tenant count (single-namespace panels) or the namespace
-	// count (multi-namespace panels).
-	X    int
-	Tail sim.Duration
-	Avg  sim.Duration
-}
+// Figure 11's panel labels: rising T-pressure (x = T-tenants) and varying
+// namespace counts (x = namespaces).
+const (
+	fig11Single = "single-ns (a/b)"
+	fig11Multi  = "multi-ns (c/d)"
+)
 
-// Fig11Result reproduces Figure 11: decomposing Daredevil's optimizations
-// into dare-base, dare-sched, and dare-full.
-type Fig11Result struct {
-	// SingleNS are panels (a)/(b): rising T-pressure.
-	SingleNS []Fig11Cell
-	// MultiNS are panels (c)/(d): varying namespace counts.
-	MultiNS []Fig11Cell
-}
-
-// RunFig11 runs both ablation sweeps as one fanned-out grid.
-func RunFig11(sc Scale) Fig11Result {
+// RunFig11 reproduces Figure 11, decomposing Daredevil's optimizations into
+// dare-base, dare-sched, and dare-full. Both ablation sweeps run as one
+// fanned-out grid.
+func RunFig11(sc Scale) Table {
 	type spec struct {
 		kind  StackKind
 		x     int
@@ -45,46 +30,46 @@ func RunFig11(sc Scale) Fig11Result {
 			specs = append(specs, spec{kind, n, true})
 		}
 	}
-	cells := RunCells(len(specs), func(i int) Fig11Cell {
+	cells := RunCells(len(specs), func(i int) MixResult {
 		s := specs[i]
 		if s.multi {
-			c := RunMultiNS(s.kind, s.x, sc)
-			return Fig11Cell{Kind: s.kind, X: s.x, Tail: c.Tail, Avg: c.Avg}
+			r, _, _ := runMultiNS(s.kind, s.x, sc)
+			return r
 		}
-		r := RunMixOnce(SVM(4), s.kind, 4, s.x, sc)
-		return Fig11Cell{Kind: s.kind, X: s.x, Tail: r.L.P999, Avg: r.L.Mean}
+		return RunMixOnce(SVM(4), s.kind, 4, s.x, sc)
 	})
-	var res Fig11Result
-	for i, s := range specs {
-		if s.multi {
-			res.MultiNS = append(res.MultiNS, cells[i])
-		} else {
-			res.SingleNS = append(res.SingleNS, cells[i])
+	t := Table{Title: "Figure 11: decomposition of Daredevil's optimizations", Columns: []Column{
+		{"panel", FmtText}, {"subsystem", FmtText}, {"x", FmtInt}, {"tail p99.9 (ms)", FmtMs}, {"avg (ms)", FmtMs},
+	}}
+	for _, multi := range []bool{false, true} {
+		panel := fig11Single
+		if multi {
+			panel = fig11Multi
+		}
+		for i, s := range specs {
+			if s.multi == multi {
+				t.Add(panel, s.kind, s.x, cells[i].L.P999, cells[i].L.Mean)
+			}
 		}
 	}
-	return res
+	return t
 }
 
-// WriteText renders the four panels.
-func (r Fig11Result) WriteText(w io.Writer) {
-	header(w, "Figure 11: decomposition of Daredevil's optimizations")
-	t := newTable(w)
-	t.row("panel", "subsystem", "x", "tail p99.9 (ms)", "avg (ms)")
-	for _, c := range r.SingleNS {
-		t.row("single-ns (a/b)", string(c.Kind), strconv.Itoa(c.X), ms(c.Tail), ms(c.Avg))
+// fig11Chart draws the single-namespace ablation curves.
+func fig11Chart(t Table) *plot.Chart {
+	c := &plot.Chart{
+		Title:  "Figure 11: subsystem decomposition (single namespace)",
+		XLabel: "T-tenants", YLabel: "avg latency (ms)",
+		Kind: plot.Lines,
 	}
-	for _, c := range r.MultiNS {
-		t.row("multi-ns (c/d)", string(c.Kind), strconv.Itoa(c.X), ms(c.Tail), ms(c.Avg))
-	}
-	t.flush()
-}
-
-// SingleCell returns the single-namespace cell for (kind, tCount).
-func (r Fig11Result) SingleCell(kind StackKind, tCount int) (Fig11Cell, bool) {
-	for _, c := range r.SingleNS {
-		if c.Kind == kind && c.X == tCount {
-			return c, true
+	for _, kind := range AblationKinds {
+		var x, y []float64
+		for _, n := range TPressureCounts {
+			r, _ := t.Row(fig11Single, kind, n)
+			x = append(x, float64(n))
+			y = append(y, r.Dur("avg (ms)").Milliseconds())
 		}
+		c.Series = append(c.Series, plot.Series{Name: string(kind), X: x, Y: y})
 	}
-	return Fig11Cell{}, false
+	return c
 }

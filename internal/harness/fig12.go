@@ -1,40 +1,30 @@
 package harness
 
 import (
-	"io"
-
+	"daredevil/internal/plot"
 	"daredevil/internal/sim"
 	"daredevil/internal/workload"
 )
 
-// Fig12Cell is one (application, stack) measurement.
-type Fig12Cell struct {
-	Workload string // "YCSB-A" ... "Mailserver"
-	Kind     StackKind
-	// Metrics maps op type to the reported statistic: p99.9 for YCSB
-	// (the paper's Figures 12a-d), mean for Mailserver (12e).
-	Metrics map[workload.OpType]sim.Duration
-	// Ops counts completed application operations in the window.
-	Ops uint64
-}
-
-// Fig12Result reproduces Figure 12: real-world applicability with RocksDB
-// under YCSB and Filebench Mailserver, co-located with 8 streaming
-// T-tenants on 4 cores.
-type Fig12Result struct {
-	Cells []Fig12Cell
-}
-
-// ycsbHeadlineOps maps the YCSB kind to the op types Figure 12 plots.
+// ycsbHeadlineOps maps the YCSB kind to the op types Figure 12 plots, in
+// row order.
 var ycsbHeadlineOps = map[workload.YCSBKind][]workload.OpType{
 	workload.YCSBA: {workload.OpUpdate, workload.OpGet},
-	workload.YCSBB: {workload.OpGet, workload.OpUpdate},
+	workload.YCSBB: {workload.OpUpdate, workload.OpGet},
 	workload.YCSBE: {workload.OpInsert, workload.OpScan},
 	workload.YCSBF: {workload.OpGet, workload.OpRMW},
 }
 
-// RunFig12 runs every application on every comparison stack.
-func RunFig12(sc Scale) Fig12Result {
+// fig12Workloads are the applications in plotting order.
+var fig12Workloads = []string{"YCSB-A", "YCSB-B", "YCSB-E", "YCSB-F", "Mailserver"}
+
+// RunFig12 reproduces Figure 12, real-world applicability: RocksDB under
+// YCSB and Filebench Mailserver, co-located with 8 streaming T-tenants on 4
+// cores, on every comparison stack. One row per (application, stack, op)
+// gives the op's latency (p99.9 for YCSB, the paper's Figures 12a-d; mean
+// for Mailserver, 12e) and the application operations completed in the
+// window.
+func RunFig12(sc Scale) Table {
 	type spec struct {
 		kind StackKind
 		ycsb workload.YCSBKind
@@ -47,13 +37,21 @@ func RunFig12(sc Scale) Fig12Result {
 		}
 		specs = append(specs, spec{kind: kind, mail: true})
 	}
-	return Fig12Result{Cells: RunCells(len(specs), func(i int) Fig12Cell {
+	t := Table{Title: "Figure 12: real-world workloads (YCSB p99.9, Mailserver mean; ms)", Columns: []Column{
+		{"workload", FmtText}, {"stack", FmtText}, {"op", FmtText}, {"latency (ms)", FmtMs}, {"ops", FmtInt},
+	}}
+	for _, rows := range RunCells(len(specs), func(i int) [][]any {
 		s := specs[i]
 		if s.mail {
 			return runMailCell(s.kind, sc)
 		}
 		return runYCSBCell(s.kind, s.ycsb, sc)
-	})}
+	}) {
+		for _, row := range rows {
+			t.Add(row...)
+		}
+	}
+	return t
 }
 
 // withBackgroundT adds the §7.4 background pressure: 8 streaming T-tenants.
@@ -64,7 +62,7 @@ func withBackgroundT(env *Env) *Mix {
 	return mix
 }
 
-func runYCSBCell(kind StackKind, ycsbKind workload.YCSBKind, sc Scale) Fig12Cell {
+func runYCSBCell(kind StackKind, ycsbKind workload.YCSBKind, sc Scale) [][]any {
 	env := NewEnv(SVM(4), kind)
 	withBackgroundT(env)
 	kvCfg := workload.DefaultKVConfig("rocksdb", 0)
@@ -89,18 +87,15 @@ func runYCSBCell(kind StackKind, ycsbKind workload.YCSBKind, sc Scale) Fig12Cell
 	for _, d := range drivers {
 		opsAfter += d.Ops
 	}
-	cell := Fig12Cell{
-		Workload: "YCSB-" + string(ycsbKind), Kind: kind,
-		Metrics: map[workload.OpType]sim.Duration{},
-		Ops:     opsAfter - opsBefore,
-	}
+	var rows [][]any
 	for _, op := range ycsbHeadlineOps[ycsbKind] {
-		cell.Metrics[op] = kv.OpLat[op].Quantile(0.999)
+		rows = append(rows, []any{"YCSB-" + string(ycsbKind), kind, string(op),
+			kv.OpLat[op].Quantile(0.999), opsAfter - opsBefore})
 	}
-	return cell
+	return rows
 }
 
-func runMailCell(kind StackKind, sc Scale) Fig12Cell {
+func runMailCell(kind StackKind, sc Scale) [][]any {
 	env := NewEnv(SVM(4), kind)
 	withBackgroundT(env)
 	mail := workload.NewMail(2000, workload.DefaultMailConfig("mailserver", 0))
@@ -109,49 +104,32 @@ func runMailCell(kind StackKind, sc Scale) Fig12Cell {
 	mail.ResetStats()
 	opsBefore := mail.Ops
 	env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-	return Fig12Cell{
-		Workload: "Mailserver", Kind: kind,
-		Metrics: map[workload.OpType]sim.Duration{
-			workload.OpFsync:  mail.OpLat[workload.OpFsync].Mean(),
-			workload.OpDelete: mail.OpLat[workload.OpDelete].Mean(),
-		},
-		Ops: mail.Ops - opsBefore,
+	ops := mail.Ops - opsBefore
+	return [][]any{
+		{"Mailserver", kind, string(workload.OpFsync), mail.OpLat[workload.OpFsync].Mean(), ops},
+		{"Mailserver", kind, string(workload.OpDelete), mail.OpLat[workload.OpDelete].Mean(), ops},
 	}
 }
 
-// WriteText renders the per-application panels.
-func (r Fig12Result) WriteText(w io.Writer) {
-	header(w, "Figure 12: real-world workloads (YCSB p99.9, Mailserver mean; ms)")
-	t := newTable(w)
-	t.row("workload", "stack", "op", "latency (ms)", "ops")
-	for _, c := range r.Cells {
-		for _, op := range orderedOps(c) {
-			t.row(c.Workload, string(c.Kind), string(op), ms(c.Metrics[op]), u64(c.Ops))
+// fig12Chart draws bars of each application's headline op.
+func fig12Chart(t Table) *plot.Chart {
+	headline := map[string]workload.OpType{
+		"YCSB-A": workload.OpUpdate, "YCSB-B": workload.OpGet,
+		"YCSB-E": workload.OpScan, "YCSB-F": workload.OpRMW,
+		"Mailserver": workload.OpFsync,
+	}
+	c := &plot.Chart{
+		Title:  "Figure 12: real-world workloads (headline op latency)",
+		XLabel: "workload", YLabel: "latency (ms, log)",
+		Kind: plot.Bars, LogY: true, Categories: fig12Workloads,
+	}
+	for _, kind := range ComparisonKinds {
+		var y []float64
+		for _, wl := range fig12Workloads {
+			r, ok := t.Row(wl, kind, string(headline[wl]))
+			y = append(y, msOrZero(r, ok, "latency (ms)"))
 		}
+		c.Series = append(c.Series, plot.Series{Name: string(kind), Y: y})
 	}
-	t.flush()
-}
-
-func orderedOps(c Fig12Cell) []workload.OpType {
-	order := []workload.OpType{
-		workload.OpUpdate, workload.OpGet, workload.OpInsert,
-		workload.OpScan, workload.OpRMW, workload.OpFsync, workload.OpDelete,
-	}
-	var out []workload.OpType
-	for _, op := range order {
-		if _, ok := c.Metrics[op]; ok {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// Cell returns the measurement for (workload, kind), or false.
-func (r Fig12Result) Cell(wl string, kind StackKind) (Fig12Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Workload == wl && c.Kind == kind {
-			return c, true
-		}
-	}
-	return Fig12Cell{}, false
+	return c
 }

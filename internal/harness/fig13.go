@@ -1,41 +1,11 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-	"strconv"
-
+	"daredevil/internal/plot"
 	"daredevil/internal/sim"
 	"daredevil/internal/stats"
 	"daredevil/internal/workload"
 )
-
-// Fig13Cell is one cross-core overhead measurement (§7.5).
-type Fig13Cell struct {
-	Kind StackKind
-	// Fixed reports whether the TL count was fixed (varying L) or the L
-	// count was fixed (varying TL).
-	Fixed   string // "TL" or "L"
-	LCount  int
-	TLCount int
-	// Avg is the overall L-tenant average latency.
-	Avg sim.Duration
-	// Std is the standard-deviation proxy (p90-p50 spread).
-	Std sim.Duration
-	// SubWait is the mean submission-side NSQ lock wait per L-request.
-	SubWait sim.Duration
-	// CompDelay is the mean CQE-post-to-delivery time per L-request.
-	CompDelay sim.Duration
-	// CrossCoreFrac is the fraction of L completions delivered cross-core.
-	CrossCoreFrac float64
-}
-
-// Fig13Result reproduces Figure 13: overheads of cross-core NQ accesses
-// under TL-tenants (throughput-shaped tenants given L priority so they
-// share the L-tenants' NQs).
-type Fig13Result struct {
-	Cells []Fig13Cell
-}
 
 // fig13Machine confines the experiment to 4 cores and 16 NQs as §7.5 does.
 func fig13Machine() Machine {
@@ -45,10 +15,12 @@ func fig13Machine() Machine {
 	return m
 }
 
-// RunFig13 measures both directions: fixed 12 TL-tenants with varying
-// L-tenants, and fixed 12 L-tenants with varying TL-tenants. Daredevil runs
-// are interleaved by randomly migrating tenants across cores.
-func RunFig13(sc Scale) Fig13Result {
+// RunFig13 reproduces Figure 13: overheads of cross-core NQ accesses under
+// TL-tenants (throughput-shaped tenants given L priority so they share the
+// L-tenants' NQs). It measures both directions: fixed 12 TL-tenants with
+// varying L-tenants, and fixed 12 L-tenants with varying TL-tenants.
+// Daredevil runs are interleaved by randomly migrating tenants across cores.
+func RunFig13(sc Scale) Table {
 	type spec struct {
 		kind    StackKind
 		nL, nTL int
@@ -64,13 +36,25 @@ func RunFig13(sc Scale) Fig13Result {
 			specs = append(specs, spec{kind, 12, n, "L"})
 		}
 	}
-	return Fig13Result{Cells: RunCells(len(specs), func(i int) Fig13Cell {
+	t := Table{Title: "Figure 13: cross-core NQ access overheads (TL-tenants share L NQs)", Columns: []Column{
+		{"stack", FmtText}, {"fixed", FmtText}, {"L", FmtInt}, {"TL", FmtInt}, {"avg (ms)", FmtMs},
+		{"spread (ms)", FmtMs}, {"sub-wait (µs)", FmtUs}, {"comp-delay (µs)", FmtUs}, {"cross-core", FmtPct},
+	}}
+	for _, row := range RunCells(len(specs), func(i int) []any {
 		s := specs[i]
 		return runFig13Cell(s.kind, s.nL, s.nTL, s.fixed, sc)
-	})}
+	}) {
+		t.Add(row...)
+	}
+	return t
 }
 
-func runFig13Cell(kind StackKind, nL, nTL int, fixed string, sc Scale) Fig13Cell {
+// runFig13Cell returns one row of Figure 13: the L-tenant average, the
+// p90-p50 spread (a standard-deviation proxy), the mean submission-side NSQ
+// lock wait and CQE-post-to-delivery time per L-request, and the fraction
+// of L completions delivered cross-core. Fixed says which count was held
+// at 12: "TL" (varying L) or "L" (varying TL).
+func runFig13Cell(kind StackKind, nL, nTL int, fixed string, sc Scale) []any {
 	env := NewEnv(fig13Machine(), kind)
 	mix := NewMix(env)
 	mix.AddL(nL, 0)
@@ -112,35 +96,26 @@ func runFig13Cell(kind StackKind, nL, nTL int, fixed string, sc Scale) Fig13Cell
 	if total > 0 {
 		frac = float64(cross) / float64(total)
 	}
-	return Fig13Cell{
-		Kind: kind, Fixed: fixed, LCount: nL, TLCount: nTL,
-		Avg:     lat.Mean(),
-		Std:     lat.Quantile(0.90) - lat.Quantile(0.50),
-		SubWait: sub.Mean(), CompDelay: comp.Mean(),
-		CrossCoreFrac: frac,
-	}
+	return []any{kind, fixed, nL, nTL, lat.Mean(), lat.Quantile(0.90) - lat.Quantile(0.50),
+		sub.Mean(), comp.Mean(), frac}
 }
 
-// WriteText renders the four panels.
-func (r Fig13Result) WriteText(w io.Writer) {
-	header(w, "Figure 13: cross-core NQ access overheads (TL-tenants share L NQs)")
-	t := newTable(w)
-	t.row("stack", "fixed", "L", "TL", "avg (ms)", "spread (ms)", "sub-wait (µs)", "comp-delay (µs)", "cross-core")
-	for _, c := range r.Cells {
-		t.row(string(c.Kind), c.Fixed,
-			strconv.Itoa(c.LCount), strconv.Itoa(c.TLCount),
-			ms(c.Avg), ms(c.Std), us(c.SubWait), us(c.CompDelay),
-			fmt.Sprintf("%.0f%%", 100*c.CrossCoreFrac))
+// fig13Chart draws average latency vs TL count (fixed L=12).
+func fig13Chart(t Table) *plot.Chart {
+	c := &plot.Chart{
+		Title:  "Figure 13: L-tenant average latency vs TL-tenants (12 L-tenants)",
+		XLabel: "TL-tenants", YLabel: "avg latency (ms)",
+		Kind: plot.Lines,
 	}
-	t.flush()
-}
-
-// Cell returns the measurement for (kind, fixed, nL, nTL), or false.
-func (r Fig13Result) Cell(kind StackKind, fixed string, nL, nTL int) (Fig13Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Kind == kind && c.Fixed == fixed && c.LCount == nL && c.TLCount == nTL {
-			return c, true
+	for _, kind := range []StackKind{Vanilla, DareFull} {
+		var x, y []float64
+		for _, n := range []int{4, 8, 12, 16} {
+			if r, ok := t.Row(kind, "L", 12, n); ok {
+				x = append(x, float64(n))
+				y = append(y, r.Dur("avg (ms)").Milliseconds())
+			}
 		}
+		c.Series = append(c.Series, plot.Series{Name: string(kind), X: x, Y: y})
 	}
-	return Fig13Cell{}, false
+	return c
 }

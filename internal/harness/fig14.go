@@ -1,31 +1,10 @@
 package harness
 
 import (
-	"fmt"
-	"io"
-
+	"daredevil/internal/plot"
 	"daredevil/internal/sim"
 	"daredevil/internal/workload"
 )
-
-// Fig14Row is one ionice-update interval measurement.
-type Fig14Row struct {
-	// Interval between base-priority updates (0 = no updates, the
-	// baseline).
-	Interval sim.Duration
-	// Normalized metrics (1.0 = baseline without updates).
-	LIOPSNorm float64
-	TMBpsNorm float64
-	CPUUtil   float64
-	// Updates performed in the window.
-	Updates uint64
-}
-
-// Fig14Result reproduces Figure 14: performance under continuously updated
-// tenant base priorities, which force default-NSQ re-scheduling (§7.5).
-type Fig14Result struct {
-	Rows []Fig14Row
-}
 
 // Fig14Intervals is the update-interval sweep (1s down to 10µs).
 var Fig14Intervals = []sim.Duration{
@@ -33,11 +12,14 @@ var Fig14Intervals = []sim.Duration{
 	sim.Millisecond, 100 * sim.Microsecond, 10 * sim.Microsecond,
 }
 
-// RunFig14 runs 4 L + 4 T tenants on Daredevil while an updater re-sets
-// ionice values at decreasing intervals. All cells (the no-update baseline
-// included) fan out together; normalization against the baseline happens
-// after assembly, so the parallel result matches the serial one.
-func RunFig14(sc Scale) Fig14Result {
+// RunFig14 reproduces Figure 14: performance under continuously updated
+// tenant base priorities, which force default-NSQ re-scheduling (§7.5). It
+// runs 4 L + 4 T tenants on Daredevil while an updater re-sets ionice
+// values at decreasing intervals, and reports L IOPS and T MB/s normalized
+// to the no-update baseline (1.0), CPU utilization, and the updates done.
+// All cells (the baseline included) fan out together; normalization
+// happens after assembly, so the parallel result matches the serial one.
+func RunFig14(sc Scale) Table {
 	type cell struct {
 		r       MixResult
 		updates uint64
@@ -47,22 +29,23 @@ func RunFig14(sc Scale) Fig14Result {
 		r, updates := runFig14Cell(intervals[i], sc)
 		return cell{r, updates}
 	})
+	t := Table{Title: "Figure 14: normalized performance under ionice update storms (Daredevil)", Columns: []Column{
+		{"interval", FmtText}, {"L IOPS (norm)", FmtF2}, {"T MB/s (norm)", FmtF2}, {"CPU util", FmtF2}, {"updates", FmtInt},
+	}}
 	base := cells[0].r
-	res := Fig14Result{Rows: []Fig14Row{{
-		Interval: 0, LIOPSNorm: 1, TMBpsNorm: 1, CPUUtil: base.CPUUtil,
-	}}}
+	t.Add("none", 1.0, 1.0, base.CPUUtil, uint64(0))
 	for i, iv := range Fig14Intervals {
 		c := cells[i+1]
-		row := Fig14Row{Interval: iv, CPUUtil: c.r.CPUUtil, Updates: c.updates}
+		var liops, tput float64
 		if base.LKIOPS > 0 {
-			row.LIOPSNorm = c.r.LKIOPS / base.LKIOPS
+			liops = c.r.LKIOPS / base.LKIOPS
 		}
 		if base.TMBps > 0 {
-			row.TMBpsNorm = c.r.TMBps / base.TMBps
+			tput = c.r.TMBps / base.TMBps
 		}
-		res.Rows = append(res.Rows, row)
+		t.Add(iv.String(), liops, tput, c.r.CPUUtil, c.updates)
 	}
-	return res
+	return t
 }
 
 func runFig14Cell(interval sim.Duration, sc Scale) (MixResult, uint64) {
@@ -86,18 +69,25 @@ func runFig14Cell(interval sim.Duration, sc Scale) (MixResult, uint64) {
 	return mix.Collect(sc.Measure), updates
 }
 
-// WriteText renders the normalized series.
-func (r Fig14Result) WriteText(w io.Writer) {
-	header(w, "Figure 14: normalized performance under ionice update storms (Daredevil)")
-	t := newTable(w)
-	t.row("interval", "L IOPS (norm)", "T MB/s (norm)", "CPU util", "updates")
-	for _, row := range r.Rows {
-		iv := "none"
-		if row.Interval > 0 {
-			iv = row.Interval.String()
-		}
-		t.row(iv, f2(row.LIOPSNorm), f2(row.TMBpsNorm), f2(row.CPUUtil),
-			fmt.Sprintf("%d", row.Updates))
+// fig14Chart draws the normalized performance curves against updates per
+// second (the baseline row has no updates and no X position).
+func fig14Chart(t Table) *plot.Chart {
+	var x, iops, tput, cpu []float64
+	for i, iv := range Fig14Intervals {
+		r := t.At(i + 1)
+		x = append(x, 1e9/float64(iv))
+		iops = append(iops, r.Float("L IOPS (norm)"))
+		tput = append(tput, r.Float("T MB/s (norm)"))
+		cpu = append(cpu, r.Float("CPU util"))
 	}
-	t.flush()
+	return &plot.Chart{
+		Title:  "Figure 14: normalized performance under ionice update storms",
+		XLabel: "updates per second per tenant", YLabel: "normalized",
+		Kind: plot.Lines,
+		Series: []plot.Series{
+			{Name: "L IOPS (norm)", X: x, Y: iops},
+			{Name: "T MB/s (norm)", X: x, Y: tput},
+			{Name: "CPU util", X: x, Y: cpu},
+		},
+	}
 }

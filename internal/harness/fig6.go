@@ -1,86 +1,72 @@
 package harness
 
-import (
-	"io"
-	"strconv"
-
-	"daredevil/internal/sim"
-)
+import "daredevil/internal/plot"
 
 // TPressureCounts is the rising T-tenant schedule of §7.1.
 var TPressureCounts = []int{2, 4, 8, 16, 32}
 
-// Fig6Cell is one (stack, T-count) measurement.
-type Fig6Cell struct {
-	Kind   StackKind
-	TCount int
-	Tail   sim.Duration // L-tenant 99.9th percentile (panel a)
-	Avg    sim.Duration // L-tenant average (panel b)
-	LKIOPS float64      // L-tenant KIOPS (panel c)
-	TMBps  float64      // T-tenant throughput (panel d)
-	// LOps counts L completions in the window; zero means total blockage.
-	LOps uint64
-	// CPUUtil is the mean core utilization (the paper notes Daredevil's
-	// ~2.3% extra CPU at low pressure from cross-core completion).
-	CPUUtil float64
-}
-
-// Fig6Result reproduces Figure 6 (SV-M, rising T-pressure).
-type Fig6Result struct {
-	Machine string
-	Cells   []Fig6Cell
-}
-
-// RunFig6 sweeps T-pressure on SV-M for the comparison targets.
-func RunFig6(sc Scale) Fig6Result {
+// RunFig6 reproduces Figure 6: T-pressure swept on SV-M for the comparison
+// targets.
+func RunFig6(sc Scale) Table {
 	return runPressureSweep(SVM(4), sc)
 }
 
 // RunFig7 is the WS-M complement (Figure 7): more NSQs than cores give
 // Daredevil more routing space.
-func RunFig7(sc Scale) Fig6Result {
+func RunFig7(sc Scale) Table {
 	return runPressureSweep(WSM(), sc)
 }
 
-func runPressureSweep(m Machine, sc Scale) Fig6Result {
-	res := Fig6Result{Machine: m.Name}
+// runPressureSweep measures, per (stack, T-count), the L-tenant p99.9 and
+// average (panels a/b, blocked when no L request completed), L KIOPS
+// (panel c), T MB/s (panel d), and mean core utilization (the paper notes
+// Daredevil's ~2.3% extra CPU at low pressure from cross-core completion).
+func runPressureSweep(m Machine, sc Scale) Table {
+	t := Table{Title: "Figure 6/7 (" + m.Name + "): performance with increasing T-pressure", Columns: []Column{
+		{"stack", FmtText}, {"T-tenants", FmtInt}, {"tail p99.9 (ms)", FmtMs}, {"avg (ms)", FmtMs},
+		{"L KIOPS", FmtF2}, {"T MB/s", FmtF1}, {"CPU", FmtF2},
+	}}
 	grid := RunMixGrid(m, ComparisonKinds, 4, TPressureCounts, sc)
 	for ki, kind := range ComparisonKinds {
 		for ti, n := range TPressureCounts {
 			r := grid[ki*len(TPressureCounts)+ti]
-			res.Cells = append(res.Cells, Fig6Cell{
-				Kind: kind, TCount: n,
-				Tail: r.L.P999, Avg: r.L.Mean,
-				LKIOPS: r.LKIOPS, TMBps: r.TMBps,
-				LOps: r.L.Count, CPUUtil: r.CPUUtil,
-			})
+			tail, avg := lLatency(r)
+			t.Add(kind, n, tail, avg, r.LKIOPS, r.TMBps, r.CPUUtil)
 		}
 	}
-	return res
+	return t
 }
 
-// WriteText renders the four panels.
-func (r Fig6Result) WriteText(w io.Writer) {
-	header(w, "Figure 6/7 ("+r.Machine+"): performance with increasing T-pressure")
-	t := newTable(w)
-	t.row("stack", "T-tenants", "tail p99.9 (ms)", "avg (ms)", "L KIOPS", "T MB/s", "CPU")
-	for _, c := range r.Cells {
-		tail, avg := ms(c.Tail), ms(c.Avg)
-		if c.LOps == 0 {
-			tail, avg = "blocked", "blocked"
-		}
-		t.row(string(c.Kind), strconv.Itoa(c.TCount),
-			tail, avg, f2(c.LKIOPS), f1(c.TMBps), f2(c.CPUUtil))
+// lLatency returns a cell's L-tenant p99.9 and mean, both nil (blocked)
+// when no L request completed in the window.
+func lLatency(r MixResult) (tail, avg any) {
+	if r.L.Count == 0 {
+		return nil, nil
 	}
-	t.flush()
+	return r.L.P999, r.L.Mean
 }
 
-// Cell returns the measurement for (kind, tCount), or false.
-func (r Fig6Result) Cell(kind StackKind, tCount int) (Fig6Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Kind == kind && c.TCount == tCount {
-			return c, true
+// pressureChart draws Figure 6/7 as average-latency curves per stack,
+// skipping blocked cells.
+func pressureChart(machine string) func(Table) *plot.Chart {
+	return func(t Table) *plot.Chart {
+		c := &plot.Chart{
+			Title:  "Figure 6/7 (" + machine + "): L-tenant average latency vs T-pressure",
+			XLabel: "T-tenants", YLabel: "avg latency (ms, log)",
+			Kind: plot.Lines, LogY: true,
 		}
+		for _, kind := range ComparisonKinds {
+			var x, y []float64
+			for _, n := range TPressureCounts {
+				if r, ok := t.Row(kind, n); ok && !r.Blocked("avg (ms)") {
+					x = append(x, float64(n))
+					y = append(y, r.Dur("avg (ms)").Milliseconds())
+				}
+			}
+			if len(x) > 0 {
+				c.Series = append(c.Series, plot.Series{Name: string(kind), X: x, Y: y})
+			}
+		}
+		return c
 	}
-	return Fig6Cell{}, false
 }

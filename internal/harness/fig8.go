@@ -2,53 +2,39 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math"
 
+	"daredevil/internal/plot"
 	"daredevil/internal/sim"
 	"daredevil/internal/stats"
 )
 
-// Fig8Point is one time window of the Figure 8 fluctuation series.
-type Fig8Point struct {
-	At sim.Time
-	// LAvgMs is the mean L-tenant latency in the window (ms); zero when no
-	// L-request completed (blockage).
-	LAvgMs float64
-	// TMBps is the T-tenant throughput in the window.
-	TMBps float64
-}
+// fig8Phases is the T-tenant count of each Figure 8 phase.
+var fig8Phases = []int{4, 8, 16, 32}
 
-// Fig8Series is one stack's run.
-type Fig8Series struct {
-	Kind   StackKind
-	Points []Fig8Point
-}
-
-// Fig8Result reproduces Figure 8: per-window average latency and throughput
-// while T-pressure steps up phase by phase.
-type Fig8Result struct {
-	Machine  string
-	PhaseLen sim.Duration
-	Phases   []int // T-tenant count per phase
-	Window   sim.Duration
-	Series   []Fig8Series
-}
-
-// RunFig8 steps T-pressure 4→8→16→32 on WS-M, sampling windows.
-func RunFig8(sc Scale) Fig8Result {
-	phases := []int{4, 8, 16, 32}
+// RunFig8 reproduces Figure 8: per-window average L latency (ms; zero when
+// no L request completed) and T throughput while T-pressure steps up
+// 4→8→16→32 on WS-M, one phase per measurement window.
+func RunFig8(sc Scale) Table {
 	phaseLen := sc.Measure
 	window := phaseLen / 8
 	if window <= 0 {
 		window = sim.Millisecond
 	}
-	res := Fig8Result{Machine: "WS-M", PhaseLen: phaseLen, Phases: phases, Window: window}
+	t := Table{
+		Title: fmt.Sprintf("Figure 8 (WS-M): behavior during rising T-pressure (phases %v, %v each)",
+			fig8Phases, phaseLen),
+		Columns: []Column{{"window", FmtText}},
+	}
+	type point struct{ lAvgMs, tMBps float64 }
+	var series [][]point
 	for _, kind := range ComparisonKinds {
+		t.Columns = append(t.Columns,
+			Column{string(kind) + " Lavg(ms)", FmtF2}, Column{string(kind) + " T(MB/s)", FmtF1})
 		env := NewEnv(WSM(), kind)
 		mix := NewMix(env)
 		mix.AddL(4, 0)
-		mix.AddT(phases[len(phases)-1], 0)
+		mix.AddT(fig8Phases[len(fig8Phases)-1], 0)
 		for _, j := range mix.AllJobs() {
 			j.EnableSeries(window)
 		}
@@ -58,7 +44,7 @@ func RunFig8(sc Scale) Fig8Result {
 			j.Start(env.Eng, env.Pool, env.Stack)
 		}
 		started := 0
-		for pi, n := range phases {
+		for pi, n := range fig8Phases {
 			at := sim.Time(sim.Duration(pi) * phaseLen)
 			count := n - started
 			from := started
@@ -70,7 +56,7 @@ func RunFig8(sc Scale) Fig8Result {
 			})
 			started = n
 		}
-		end := sim.Time(sim.Duration(len(phases)) * phaseLen)
+		end := sim.Time(sim.Duration(len(fig8Phases)) * phaseLen)
 		env.Eng.RunUntil(end)
 
 		// Merge job series point-wise.
@@ -96,9 +82,9 @@ func RunFig8(sc Scale) Fig8Result {
 				n = len(s)
 			}
 		}
-		ser := Fig8Series{Kind: kind}
+		var ser []point
 		for i := 0; i < n; i++ {
-			p := Fig8Point{At: sim.Time(sim.Duration(i) * window)}
+			var p point
 			var latSum float64
 			var latN int
 			for _, s := range latSets {
@@ -108,7 +94,7 @@ func RunFig8(sc Scale) Fig8Result {
 				}
 			}
 			if latN > 0 {
-				p.LAvgMs = latSum / float64(latN)
+				p.lAvgMs = latSum / float64(latN)
 			}
 			var bytes float64
 			for _, s := range tputSets {
@@ -116,73 +102,78 @@ func RunFig8(sc Scale) Fig8Result {
 					bytes += s[i].Value
 				}
 			}
-			p.TMBps = bytes / 1e6 / window.Seconds()
-			ser.Points = append(ser.Points, p)
+			p.tMBps = bytes / 1e6 / window.Seconds()
+			ser = append(ser, p)
 		}
-		res.Series = append(res.Series, ser)
+		series = append(series, ser)
 	}
-	return res
+	for i := range series[0] {
+		row := []any{sim.Time(sim.Duration(i) * window)}
+		for _, s := range series {
+			row = append(row, s[i].lAvgMs, s[i].tMBps)
+		}
+		t.Add(row...)
+	}
+	return t
 }
 
-// WriteText renders the latency and throughput series.
-func (r Fig8Result) WriteText(w io.Writer) {
-	header(w, fmt.Sprintf("Figure 8 (%s): behavior during rising T-pressure (phases %v, %v each)",
-		r.Machine, r.Phases, r.PhaseLen))
-	t := newTable(w)
-	hdr := []string{"window"}
-	for _, s := range r.Series {
-		hdr = append(hdr, string(s.Kind)+" Lavg(ms)", string(s.Kind)+" T(MB/s)")
-	}
-	t.row(hdr...)
-	if len(r.Series) == 0 {
-		t.flush()
-		return
-	}
-	for i := range r.Series[0].Points {
-		row := []string{r.Series[0].Points[i].At.String()}
-		for _, s := range r.Series {
-			row = append(row, f2(s.Points[i].LAvgMs), f1(s.Points[i].TMBps))
+// fig8Fluctuation reports the coefficient of variation of a stack's
+// windowed L latency over the last phase — the instability blk-switch
+// exhibits.
+func fig8Fluctuation(t Table, kind StackKind) float64 {
+	col := string(kind) + " Lavg(ms)"
+	from := len(t.Rows) * (len(fig8Phases) - 1) / len(fig8Phases)
+	// Blocked windows (no L completion) count as zero: total blockage is
+	// the extreme form of fluctuation (Fig. 6c).
+	var vals []float64
+	nonzero := false
+	for i := from; i < len(t.Rows); i++ {
+		v := t.At(i).Float(col)
+		vals = append(vals, v)
+		if v > 0 {
+			nonzero = true
 		}
-		t.row(row...)
 	}
-	t.flush()
+	if len(vals) < 2 || !nonzero {
+		return 0
+	}
+	var sum float64
+	for _, v := range vals {
+		sum += v
+	}
+	mean := sum / float64(len(vals))
+	var ss float64
+	for _, v := range vals {
+		ss += (v - mean) * (v - mean)
+	}
+	std := ss / float64(len(vals))
+	if mean == 0 {
+		return 0
+	}
+	return math.Sqrt(std) / mean
 }
 
-// Fluctuation reports the coefficient of variation of a stack's windowed L
-// latency over the last phase — the instability blk-switch exhibits.
-func (r Fig8Result) Fluctuation(kind StackKind) float64 {
-	for _, s := range r.Series {
-		if s.Kind != kind {
-			continue
-		}
-		from := len(s.Points) * (len(r.Phases) - 1) / len(r.Phases)
-		// Blocked windows (no L completion) count as zero: total blockage
-		// is the extreme form of fluctuation (Fig. 6c).
-		var vals []float64
-		any := false
-		for _, p := range s.Points[from:] {
-			vals = append(vals, p.LAvgMs)
-			if p.LAvgMs > 0 {
-				any = true
+// fig8Chart draws the windowed L-latency series per stack.
+func fig8Chart(t Table) *plot.Chart {
+	c := &plot.Chart{
+		Title:  "Figure 8 (WS-M): windowed L-tenant latency, rising T-pressure",
+		XLabel: "time (ms)", YLabel: "window avg latency (ms, log)",
+		Kind: plot.Lines, LogY: true,
+	}
+	for _, kind := range ComparisonKinds {
+		var x, y []float64
+		for i := range t.Rows {
+			r := t.At(i)
+			lat := r.Float(string(kind) + " Lavg(ms)")
+			if lat <= 0 {
+				continue // blocked windows have no defined latency
 			}
+			x = append(x, sim.Duration(r.Value("window").(sim.Time)).Milliseconds())
+			y = append(y, lat)
 		}
-		if len(vals) < 2 || !any {
-			return 0
+		if len(x) > 0 {
+			c.Series = append(c.Series, plot.Series{Name: string(kind), X: x, Y: y})
 		}
-		var sum float64
-		for _, v := range vals {
-			sum += v
-		}
-		mean := sum / float64(len(vals))
-		var ss float64
-		for _, v := range vals {
-			ss += (v - mean) * (v - mean)
-		}
-		std := ss / float64(len(vals))
-		if mean == 0 {
-			return 0
-		}
-		return math.Sqrt(std) / mean
 	}
-	return 0
+	return c
 }

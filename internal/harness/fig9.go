@@ -1,64 +1,67 @@
 package harness
 
 import (
-	"io"
-	"strconv"
+	"fmt"
 
+	"daredevil/internal/plot"
 	"daredevil/internal/sim"
 )
 
-// Fig9Cell is one (stack, cores, T-count) tail-latency measurement.
-type Fig9Cell struct {
-	Kind   StackKind
-	Cores  int
-	TCount int
-	Tail   sim.Duration
-}
+// fig9Cores and fig9TCounts span Figure 9's grid.
+var (
+	fig9Cores   = []int{2, 4, 8}
+	fig9TCounts = []int{4, 32}
+)
 
-// Fig9Result reproduces Figure 9: sensitivity to available CPU cores.
-type Fig9Result struct {
-	Cells []Fig9Cell
-}
-
-// RunFig9 measures L-tenant p99.9 with 2, 4, 8 cores under low and high
-// T-pressure on SV-M.
-func RunFig9(sc Scale) Fig9Result {
+// RunFig9 reproduces Figure 9, sensitivity to available CPU cores: L-tenant
+// p99.9 with 2, 4, 8 cores under low and high T-pressure on SV-M.
+func RunFig9(sc Scale) Table {
 	type spec struct {
 		cores, n int
 		kind     StackKind
 	}
 	var specs []spec
-	for _, cores := range []int{2, 4, 8} {
-		for _, n := range []int{4, 32} {
+	for _, cores := range fig9Cores {
+		for _, n := range fig9TCounts {
 			for _, kind := range ComparisonKinds {
 				specs = append(specs, spec{cores, n, kind})
 			}
 		}
 	}
-	return Fig9Result{Cells: RunCells(len(specs), func(i int) Fig9Cell {
+	t := Table{Title: "Figure 9: L-tenant p99.9 tail latency (ms) vs available cores (SV-M)", Columns: []Column{
+		{"stack", FmtText}, {"cores", FmtInt}, {"T-tenants", FmtInt}, {"tail p99.9 (ms)", FmtMs},
+	}}
+	for i, tail := range RunCells(len(specs), func(i int) sim.Duration {
 		s := specs[i]
-		r := RunMixOnce(SVM(s.cores), s.kind, 4, s.n, sc)
-		return Fig9Cell{Kind: s.kind, Cores: s.cores, TCount: s.n, Tail: r.L.P999}
-	})}
-}
-
-// WriteText renders the grid.
-func (r Fig9Result) WriteText(w io.Writer) {
-	header(w, "Figure 9: L-tenant p99.9 tail latency (ms) vs available cores (SV-M)")
-	t := newTable(w)
-	t.row("stack", "cores", "T-tenants", "tail p99.9 (ms)")
-	for _, c := range r.Cells {
-		t.row(string(c.Kind), strconv.Itoa(c.Cores), strconv.Itoa(c.TCount), ms(c.Tail))
+		return RunMixOnce(SVM(s.cores), s.kind, 4, s.n, sc).L.P999
+	}) {
+		t.Add(specs[i].kind, specs[i].cores, specs[i].n, tail)
 	}
-	t.flush()
+	return t
 }
 
-// Cell returns the measurement for (kind, cores, tCount), or false.
-func (r Fig9Result) Cell(kind StackKind, cores, tCount int) (Fig9Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Kind == kind && c.Cores == cores && c.TCount == tCount {
-			return c, true
+// fig9Chart draws grouped bars (cores x pressure) per stack.
+func fig9Chart(t Table) *plot.Chart {
+	var cats []string
+	for _, cores := range fig9Cores {
+		for _, n := range fig9TCounts {
+			cats = append(cats, fmt.Sprintf("%dc/%dT", cores, n))
 		}
 	}
-	return Fig9Cell{}, false
+	c := &plot.Chart{
+		Title:  "Figure 9: L-tenant p99.9 vs available cores",
+		XLabel: "cores / T-tenants", YLabel: "tail latency (ms, log)",
+		Kind: plot.Bars, LogY: true, Categories: cats,
+	}
+	for _, kind := range ComparisonKinds {
+		var y []float64
+		for _, cores := range fig9Cores {
+			for _, n := range fig9TCounts {
+				r, ok := t.Row(kind, cores, n)
+				y = append(y, msOrZero(r, ok, "tail p99.9 (ms)"))
+			}
+		}
+		c.Series = append(c.Series, plot.Series{Name: string(kind), Y: y})
+	}
+	return c
 }

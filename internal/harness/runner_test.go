@@ -26,7 +26,7 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("RunExtGC differs between -j 1 and -j 8:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
-	if len(serial.Cells) == 0 {
+	if len(serial.Rows) == 0 {
 		t.Fatal("RunExtGC returned no cells; the comparison is vacuous")
 	}
 }

@@ -2,35 +2,30 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"daredevil/internal/block"
 )
 
-// Table1Row is one stack's design-factor vector.
-type Table1Row struct {
-	Kind    StackKind
-	Factors block.Factors
-}
-
-// Table1Result reproduces Table 1: the design-factor comparison between
-// Daredevil and prior works.
-type Table1Result struct {
-	Rows []Table1Row
-}
-
-// RunTable1 collects the factor vectors from every stack implementation.
-func RunTable1() Table1Result {
+// RunTable1 reproduces Table 1: the design-factor comparison between
+// Daredevil and prior works, collected from every stack implementation.
+func RunTable1() Table {
 	kinds := []StackKind{Vanilla, StaticPart, BlkSwitch, DareFull}
-	return Table1Result{Rows: RunCells(len(kinds), func(i int) Table1Row {
-		kind := kinds[i]
-		env := NewEnv(SVM(4), kind)
+	t := Table{Title: "Table 1: design-factor comparison", Columns: []Column{
+		{"target", FmtText}, {"F1 hw-independent", FmtText}, {"F2 NQ exploitation", FmtText},
+		{"F3 cross-core autonomy", FmtText}, {"F4 multi-namespace", FmtText},
+	}}
+	for i, f := range RunCells(len(kinds), func(i int) block.Factors {
+		env := NewEnv(SVM(4), kinds[i])
 		fp, ok := env.Stack.(block.FactorProvider)
 		if !ok {
-			panic(fmt.Sprintf("harness: stack %q does not report factors", kind))
+			panic(fmt.Sprintf("harness: stack %q does not report factors", kinds[i]))
 		}
-		return Table1Row{Kind: kind, Factors: fp.Factors()}
-	})}
+		return fp.Factors()
+	}) {
+		t.Add(kinds[i], mark(f.HardwareIndependence), mark(f.NQExploitation),
+			mark(f.CrossCoreAutonomy), mark(f.MultiNamespace))
+	}
+	return t
 }
 
 func mark(b bool) string {
@@ -38,29 +33,4 @@ func mark(b bool) string {
 		return "yes"
 	}
 	return "no"
-}
-
-// WriteText renders the factor matrix.
-func (r Table1Result) WriteText(w io.Writer) {
-	header(w, "Table 1: design-factor comparison")
-	t := newTable(w)
-	t.row("target", "F1 hw-independent", "F2 NQ exploitation", "F3 cross-core autonomy", "F4 multi-namespace")
-	for _, row := range r.Rows {
-		t.row(string(row.Kind),
-			mark(row.Factors.HardwareIndependence),
-			mark(row.Factors.NQExploitation),
-			mark(row.Factors.CrossCoreAutonomy),
-			mark(row.Factors.MultiNamespace))
-	}
-	t.flush()
-}
-
-// Row returns the factors for kind, or false.
-func (r Table1Result) Row(kind StackKind) (Table1Row, bool) {
-	for _, row := range r.Rows {
-		if row.Kind == kind {
-			return row, true
-		}
-	}
-	return Table1Row{}, false
 }

@@ -210,6 +210,9 @@ type dieState struct {
 	gcGen    uint64   // invalidates scheduled GC continuations after a takeover
 
 	retired int // blocks taken out of service on this die (grown bad)
+
+	id      int    // index in Device.dies (the TRIM wake-up argument)
+	trimGen uint64 // Device.trimGen of the last Trim that woke this die
 }
 
 // Device is the flash translation layer over one media device.
@@ -232,9 +235,10 @@ type Device struct {
 	dies   []dieState
 
 	allocRR int // host-allocation die cursor
-	// aging suppresses GC wake-ups while preconditioning remaps pages
-	// (preconditioning is pure accounting; real GC would touch the media).
-	aging bool
+	// trimGen numbers Trim calls, so each call wakes a die's GC at most
+	// once without a per-call set; wakeGCFn is that wake-up, bound once.
+	trimGen  uint64
+	wakeGCFn func(any)
 	// inj, when attached, injects program failures that grow bad blocks.
 	inj *fault.Injector
 	// tracer, when attached, receives GC-round ranges for the trace
@@ -299,16 +303,12 @@ func New(eng *sim.Engine, media *flash.Device, cfg Config) *Device {
 
 	d.l2p = make([]int32, d.logPages)
 	d.p2l = make([]int32, d.physPages)
-	for i := range d.l2p {
-		d.l2p[i] = -1
-	}
-	for i := range d.p2l {
-		d.p2l[i] = -1
-	}
+	d.wakeGCFn = func(arg any) { d.maybeGC(arg.(*dieState).id) }
 	d.blocks = make([]blockMeta, d.numDies*cfg.BlocksPerDie)
 	d.dies = make([]dieState, d.numDies)
 	for i := range d.dies {
 		die := &d.dies[i]
+		die.id = i
 		die.active = -1
 		die.gcActive = -1
 		die.gcVictim = -1
@@ -318,9 +318,7 @@ func New(eng *sim.Engine, media *flash.Device, cfg Config) *Device {
 			d.blocks[i*cfg.BlocksPerDie+b].free = true
 		}
 	}
-	d.aging = true
 	d.precondition()
-	d.aging = false
 	d.ResetStats()
 	return d
 }
@@ -514,34 +512,25 @@ func (d *Device) failProgram(now sim.Time, die int) {
 // in its physical block without any media work — the NVMe Deallocate (TRIM)
 // semantics that let GC skip dead data. Dies that gained invalidity get
 // their GC woken on a deferred event, not inline: the Deallocate itself
-// completes without touching the media.
+// completes without touching the media. Each such die is woken once, at
+// the current instant, in the order the range first reaches it.
 func (d *Device) Trim(offset, size int64) int {
 	n := d.media.Pages(offset, size)
 	trimmed := 0
 	firstAbs := offset / d.pageSize
-	var woken []int
+	d.trimGen++
 	for i := int64(0); i < int64(n); i++ {
 		lp := d.logicalPage((firstAbs + i) * d.pageSize)
 		if pp := d.l2p[lp]; pp >= 0 {
-			die := d.dieOfPhys(pp)
+			ds := &d.dies[d.dieOfPhys(pp)]
 			d.unmapPhys(pp)
 			d.l2p[lp] = -1
 			trimmed++
-			seen := false
-			for _, w := range woken {
-				if w == die {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				woken = append(woken, die)
+			if ds.trimGen != d.trimGen {
+				ds.trimGen = d.trimGen
+				d.eng.AtArg(d.eng.Now(), d.wakeGCFn, ds)
 			}
 		}
-	}
-	for _, die := range woken {
-		die := die
-		d.eng.At(d.eng.Now(), func() { d.maybeGC(die) })
 	}
 	d.st.TrimmedPages += uint64(trimmed)
 	return trimmed
@@ -623,9 +612,7 @@ func (d *Device) openBlock(die int) int {
 func (d *Device) remap(lp int64, pp int32) {
 	if old := d.l2p[lp]; old >= 0 {
 		d.unmapPhys(old)
-		if !d.aging {
-			d.maybeGC(d.dieOfPhys(old))
-		}
+		d.maybeGC(d.dieOfPhys(old))
 	}
 	d.l2p[lp] = pp
 	d.p2l[pp] = int32(lp)
@@ -869,47 +856,100 @@ func (d *Device) foregroundGC(now sim.Time) int {
 // deterministic pseudo-random order to fragment block validity. It runs in
 // pure accounting (no media work, no events) — preconditioning happens
 // "before" the simulation starts, as the paper pre-conditions the disk
-// before each experiment. ScramblePct is an upper bound: scrambling stops
-// once the clean spare is consumed, leaving the invalidity it created
-// spread across the data blocks. (Compacting with an accounting GC instead
-// would hand over a device whose every block is fully valid — a state
-// where the first real GC rounds are pathologically expensive and nothing
-// like a steady-state aged drive.)
+// before each experiment. Each die keeps a full high-water free pool, so
+// the aged device starts with no die already inside the GC-trigger zone
+// (otherwise every die would fire a synchronized GC wave at t=0 and the
+// opening of every experiment would measure that artifact). ScramblePct is
+// an upper bound: scrambling stops once the clean spare is consumed,
+// leaving the invalidity it created spread across the data blocks.
+// (Compacting with an accounting GC instead would hand over a device whose
+// every block is fully valid — a state where the first real GC rounds are
+// pathologically expensive and nothing like a steady-state aged drive.)
+//
+// The result is what writing the pages one at a time through the
+// round-robin host allocator would leave, computed in closed form. Three
+// facts make that exact. Every die starts unworn with a sorted free list,
+// so blocks open in index order. No GC runs while the device ages, so
+// nothing moves a written page. And every die has the same writable
+// capacity C = max(0, BlocksPerDie-highWater)·PagesPerBlock under strict
+// round-robin, so write j of the fill-then-scramble stream lands on die
+// (j+1) mod N at die-local page ⌊j/N⌋, and the stream stops after N·C
+// writes.
 func (d *Device) precondition() {
+	n := int64(d.numDies)
+	ppb := int64(d.ppb)
+	diePages := int64(d.cfg.BlocksPerDie) * ppb
+	writable := n * int64(max(0, d.cfg.BlocksPerDie-d.highWater)) * ppb
 	fill := d.logPages * int64(d.cfg.PreconditionPct) / 100
-	for lp := int64(0); lp < fill; lp++ {
-		if !d.preWrite(lp) {
-			break // out of clean space; the filled prefix stands
+	seq := min(fill, writable)
+	total := seq
+	if d.cfg.ScramblePct > 0 && fill > 0 {
+		total += min(fill*int64(d.cfg.ScramblePct)/100, writable-seq)
+	}
+
+	// Per-die bookkeeping: die d took every write j ≡ d-1 (mod N), filling
+	// its blocks in index order from the front of its free list.
+	for die := range d.dies {
+		r := (int64(die) + n - 1) % n
+		written := total / n
+		if r < total%n {
+			written++
+		}
+		ds := &d.dies[die]
+		opened := int((written + ppb - 1) / ppb)
+		base := die * d.cfg.BlocksPerDie
+		for b := 0; b < opened; b++ {
+			meta := &d.blocks[base+b]
+			meta.free = false
+			meta.valid = int(min(ppb, written-int64(b)*ppb))
+		}
+		if opened > 0 {
+			ds.active = opened - 1
+			ds.writePtr = int(written - int64(opened-1)*ppb)
+		}
+		ds.free = ds.free[:copy(ds.free, ds.free[opened:])]
+		// Pages the stream never reached stay invalid; it writes the rest.
+		tail := d.p2l[int64(die)*diePages+written : int64(die+1)*diePages]
+		for i := range tail {
+			tail[i] = -1
 		}
 	}
-	if d.cfg.ScramblePct > 0 && fill > 0 {
-		rng := sim.NewRand(d.cfg.Seed + 0xa9ed)
-		n := fill * int64(d.cfg.ScramblePct) / 100
-		for i := int64(0); i < n; i++ {
-			if !d.preWrite(rng.Int63n(fill)) {
-				break
+	d.allocRR = int(total % n)
+
+	unmapped := d.l2p[seq:]
+	for i := range unmapped {
+		unmapped[i] = -1
+	}
+	// Sequential fill, tiled 16 die-local pages at a time: each die's p2l
+	// run is one cache line per tile, and the tile's l2p span stays cached.
+	const tile = 16
+	for k0 := int64(0); k0*n < seq; k0 += tile {
+		for r := int64(0); r < n; r++ {
+			base := (r + 1) % n * diePages
+			for k := k0; k < k0+tile; k++ {
+				j := k*n + r
+				if j >= seq {
+					break
+				}
+				d.l2p[j] = int32(base + k)
+				d.p2l[base+k] = int32(j)
 			}
 		}
 	}
-}
-
-// preWrite maps one logical page during preconditioning. It is stricter
-// than the runtime path: each die keeps a full high-water free pool, so the
-// aged device starts with no die already inside the GC-trigger zone —
-// otherwise every die would fire a synchronized GC wave at t=0 and the
-// opening of every experiment would measure that artifact. Reports false
-// when no die can absorb another write under that constraint.
-func (d *Device) preWrite(lp int64) bool {
-	for i := 1; i <= d.numDies; i++ {
-		die := (d.allocRR + i) % d.numDies
-		ds := &d.dies[die]
-		if (ds.active >= 0 && ds.writePtr < d.ppb) || len(ds.free) > d.highWater {
-			d.allocRR = die
-			d.remap(lp, d.allocPage(die, 0, false))
-			return true
+	// Scramble: the same seeded overwrite stream, each write invalidating
+	// the page's previous copy.
+	if total > seq {
+		rng := sim.NewRand(d.cfg.Seed + 0xa9ed)
+		for j := seq; j < total; j++ {
+			lp := rng.Int63n(fill)
+			old := d.l2p[lp]
+			d.p2l[old] = -1
+			d.blocks[d.blockOfPhys(old)].valid--
+			pp := int32((j+1)%n*diePages + j/n)
+			d.l2p[lp] = pp
+			d.p2l[pp] = int32(lp)
 		}
 	}
-	return false
 }
 
 // CheckInvariants verifies the mapping-table invariants the fuzzer asserts:

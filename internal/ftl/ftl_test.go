@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"reflect"
 	"testing"
 
 	"daredevil/internal/flash"
@@ -178,6 +179,30 @@ func TestTrimInvalidatesAndSkipsMedia(t *testing.T) {
 	_ = eng
 }
 
+func TestTrimWakesEachDieOnceWithoutAllocating(t *testing.T) {
+	eng, d := newSmall(t, smallFTL())
+	// 64 mapped pages span all 8 dies: one wake-up event per die.
+	before := eng.Pending()
+	d.Trim(0, 64*4096)
+	if got := eng.Pending() - before; got != d.numDies {
+		t.Fatalf("Trim scheduled %d wake-ups, want one per die (%d)", got, d.numDies)
+	}
+	eng.Run()
+	// Each run trims a fresh, still-mapped 8-page range and drains the
+	// wake-ups, so the event pool is warm after the first run.
+	next := int64(64)
+	allocs := testing.AllocsPerRun(100, func() {
+		if d.Trim(next*4096, 8*4096) == 0 {
+			t.Fatal("trimmed an unmapped range; the test walked off the mapped space")
+		}
+		next += 8
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Trim allocates %v objects per call, want 0", allocs)
+	}
+}
+
 func TestTrimReducesWriteAmplification(t *testing.T) {
 	run := func(trim bool) float64 {
 		eng, d := newSmall(t, smallFTL())
@@ -268,5 +293,225 @@ func TestResetStatsKeepsMapping(t *testing.T) {
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after reset: %v", err)
+	}
+}
+
+// referencePrecondition is the oracle for the closed form in precondition.
+// It maps PreconditionPct of the logical space one page at a time through
+// the runtime allocator (round-robin die pick, openBlock, allocPage), then
+// overwrites ScramblePct of it from the same seeded stream, stopping as
+// soon as no die can absorb a write without dipping into its high-water
+// free pool. Remaps skip the GC wake-up, as GC stays off while the device
+// ages.
+func referencePrecondition(d *Device) {
+	fill := d.logPages * int64(d.cfg.PreconditionPct) / 100
+	for lp := int64(0); lp < fill; lp++ {
+		if !referencePreWrite(d, lp) {
+			break // out of clean space; the filled prefix stands
+		}
+	}
+	if d.cfg.ScramblePct > 0 && fill > 0 {
+		rng := sim.NewRand(d.cfg.Seed + 0xa9ed)
+		n := fill * int64(d.cfg.ScramblePct) / 100
+		for i := int64(0); i < n; i++ {
+			if !referencePreWrite(d, rng.Int63n(fill)) {
+				break
+			}
+		}
+	}
+}
+
+// referencePreWrite maps one logical page during reference
+// preconditioning, or reports false when no die can take it while keeping
+// a full high-water free pool.
+func referencePreWrite(d *Device, lp int64) bool {
+	for i := 1; i <= d.numDies; i++ {
+		die := (d.allocRR + i) % d.numDies
+		ds := &d.dies[die]
+		if (ds.active >= 0 && ds.writePtr < d.ppb) || len(ds.free) > d.highWater {
+			d.allocRR = die
+			pp := d.allocPage(die, 0, false)
+			if old := d.l2p[lp]; old >= 0 {
+				d.unmapPhys(old)
+			}
+			d.l2p[lp] = pp
+			d.p2l[pp] = int32(lp)
+			d.blocks[d.blockOfPhys(pp)].valid++
+			return true
+		}
+	}
+	return false
+}
+
+// checkPreconditionMatchesReference builds the aged device through New and
+// again by running referencePrecondition over an unaged one, and fails
+// unless the two states are identical.
+func checkPreconditionMatchesReference(t *testing.T, fc flash.Config, cfg Config) {
+	t.Helper()
+	got := New(sim.New(), flash.New(fc), cfg)
+	unaged := cfg
+	unaged.PreconditionPct, unaged.ScramblePct = 0, 0
+	want := New(sim.New(), flash.New(fc), unaged)
+	checkUnaged(t, want)
+	want.cfg = got.cfg
+	referencePrecondition(want)
+
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after New: %v", err)
+	}
+	checkTable(t, "l2p", got.l2p, want.l2p)
+	checkTable(t, "p2l", got.p2l, want.p2l)
+	for b := range got.blocks {
+		if got.blocks[b] != want.blocks[b] {
+			t.Fatalf("block %d = %+v, reference %+v", b, got.blocks[b], want.blocks[b])
+		}
+	}
+	for i := range got.dies {
+		g, w := got.dies[i], want.dies[i]
+		if cap(g.free) != cap(w.free) {
+			t.Fatalf("die %d: free list cap %d, reference %d", i, cap(g.free), cap(w.free))
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("die %d = %+v, reference %+v", i, g, w)
+		}
+	}
+	if got.allocRR != want.allocRR {
+		t.Fatalf("allocRR = %d, reference %d", got.allocRR, want.allocRR)
+	}
+}
+
+// checkUnaged fails unless d is in the state every die starts from before
+// aging: nothing mapped, every block free and unworn, sorted free lists, no
+// open blocks, and the allocation cursor at die 0. The reference starts
+// from this state, so it must not inherit a closed-form bug through New.
+func checkUnaged(t *testing.T, d *Device) {
+	t.Helper()
+	for lp, pp := range d.l2p {
+		if pp != -1 {
+			t.Fatalf("unaged device: l2p[%d] = %d", lp, pp)
+		}
+	}
+	for pp, lp := range d.p2l {
+		if lp != -1 {
+			t.Fatalf("unaged device: p2l[%d] = %d", pp, lp)
+		}
+	}
+	for b, meta := range d.blocks {
+		if meta != (blockMeta{free: true}) {
+			t.Fatalf("unaged device: block %d = %+v", b, meta)
+		}
+	}
+	for i, ds := range d.dies {
+		if ds.active != -1 || ds.writePtr != 0 || len(ds.free) != d.cfg.BlocksPerDie {
+			t.Fatalf("unaged device: die %d = %+v", i, ds)
+		}
+		for b, blk := range ds.free {
+			if blk != b {
+				t.Fatalf("unaged device: die %d free list %v not sorted", i, ds.free)
+			}
+		}
+	}
+	if d.allocRR != 0 {
+		t.Fatalf("unaged device: allocRR = %d, want 0", d.allocRR)
+	}
+}
+
+// checkTable fails at the first entry where a mapping table differs from
+// the reference's.
+func checkTable(t *testing.T, name string, got, want []int32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s has %d entries, reference %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %d, reference %d", name, i, got[i], want[i])
+		}
+	}
+}
+
+func TestPreconditionMatchesReference(t *testing.T) {
+	with := func(f func(*Config)) Config {
+		c := DefaultConfig()
+		f(&c)
+		return c
+	}
+	threeDies := smallFlash()
+	threeDies.Channels, threeDies.ChipsPerChannel = 3, 1
+	cases := []struct {
+		name string
+		fc   flash.Config
+		cfg  Config
+	}{
+		{"default", flash.DefaultConfig(), DefaultConfig()},
+		// OP 2 leaves less logical space than the high-water pools allow:
+		// the fill is clamped and the scramble never starts.
+		{"op2", flash.DefaultConfig(), with(func(c *Config) { c.OPPct = 2 })},
+		{"op15", flash.DefaultConfig(), with(func(c *Config) { c.OPPct = 15 })},
+		{"op28", flash.DefaultConfig(), with(func(c *Config) { c.OPPct = 28 })},
+		{"precondition0", smallFlash(), with(func(c *Config) { c.PreconditionPct = 0 })},
+		{"precondition50", smallFlash(), with(func(c *Config) { c.PreconditionPct = 50 })},
+		{"scramble0", smallFlash(), with(func(c *Config) { c.ScramblePct = 0 })},
+		{"scramble100", smallFlash(), with(func(c *Config) { c.ScramblePct = 100 })},
+		// Three blocks per die is all high-water reserve: nothing is written.
+		{"blocks3", smallFlash(), with(func(c *Config) { c.BlocksPerDie = 3 })},
+		{"3pages5blocks", smallFlash(), with(func(c *Config) { c.PagesPerBlock, c.BlocksPerDie = 3, 5 })},
+		{"watermarks-seed", smallFlash(), with(func(c *Config) {
+			c.GCLowWater, c.GCHighWater, c.Seed = 1, 5, 99
+		})},
+		// A high watermark under the default low one: aging stops at one
+		// free block, inside the GC-trigger zone.
+		{"highwater1", smallFlash(), with(func(c *Config) { c.GCHighWater = 1 })},
+		{"small", smallFlash(), smallFTL()},
+		{"3dies", threeDies, smallFTL()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkPreconditionMatchesReference(t, tc.fc, tc.cfg)
+		})
+	}
+}
+
+func FuzzPrecondition(f *testing.F) {
+	f.Add(uint8(8), uint8(16), uint8(16), uint8(30), uint8(100), uint8(30), uint8(0), uint8(0), uint64(7))
+	f.Add(uint8(3), uint8(3), uint8(5), uint8(2), uint8(100), uint8(100), uint8(0), uint8(0), uint64(1))
+	f.Add(uint8(1), uint8(1), uint8(4), uint8(50), uint8(37), uint8(64), uint8(1), uint8(2), uint64(3))
+	f.Fuzz(func(t *testing.T, dies, ppb, bpd, op, pre, scr, low, high uint8, seed uint64) {
+		fc := smallFlash()
+		fc.Channels, fc.ChipsPerChannel = 1+int(dies%9), 1
+		cfg := Config{
+			PagesPerBlock:   1 + int(ppb%16),
+			BlocksPerDie:    3 + int(bpd%14),
+			OPPct:           float64(2 + op%89),
+			PreconditionPct: int(pre % 101),
+			ScramblePct:     int(scr % 101),
+			GCLowWater:      int(low % 5),
+			GCHighWater:     int(high % 7),
+			Seed:            seed,
+		}
+		if cfg.Validate() != nil {
+			t.Skip()
+		}
+		phys := int64(fc.Channels) * int64(cfg.BlocksPerDie) * int64(cfg.PagesPerBlock)
+		if phys*int64((100-cfg.OPPct)*100)/10000 <= 0 {
+			t.Skip() // zero logical capacity; New rejects it
+		}
+		checkPreconditionMatchesReference(t, fc, cfg)
+	})
+}
+
+var benchDevice *Device
+
+// BenchmarkFTLNew builds the default aged device (4 GiB over the default
+// 128-die flash, 100% preconditioned, 30% scrambled), the device every
+// FTL-backed cell pays for before its run starts.
+func BenchmarkFTLNew(b *testing.B) {
+	eng := sim.New()
+	media := flash.New(flash.DefaultConfig())
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDevice = New(eng, media, cfg)
 	}
 }

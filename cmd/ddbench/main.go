@@ -38,7 +38,7 @@ func realMain() int {
 	svgDir := flag.String("svg", "", "also write <experiment>.svg charts into this directory")
 	jsonDir := flag.String("json", "", "also write machine-readable <experiment>.json results into this directory")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "run up to N experiment cells in parallel (results are identical to -j 1)")
-	obsDir := flag.String("obs", "", "run the instrumented demo cell and write trace.json, metrics.csv, metrics.svg, flight.txt into this directory (no experiment needed)")
+	obsDir := flag.String("obs", "", "run the instrumented demo cell and write trace.json, trace.txt, metrics.csv, metrics.svg, flight.txt into this directory (no experiment needed)")
 	profDir := flag.String("prof", "", "run the profiled comparison grid (every stack x two tenant mixes) and write per-cell and merged layer-latency artifacts into this directory (no experiment needed)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -140,34 +140,24 @@ func realMain() int {
 
 // runObs runs the instrumented demo cell (Daredevil under brownout with
 // tracing, metrics sampling, and the flight recorder armed) and writes its
-// four exports into dir.
+// artifacts into dir.
 func runObs(dir string, sc harness.Scale) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	d, err := harness.RunObsDemo(sc)
+	arts, err := harness.RunObsDemo(sc)
 	if err != nil {
 		return err
 	}
-	return writeArtifacts(dir, []artifact{
-		{"trace.json", d.Trace},
-		{"metrics.csv", d.Metrics},
-		{"metrics.svg", d.SVG},
-		{"flight.txt", d.Flight},
-	})
+	return writeArtifacts(dir, arts)
 }
 
-// artifact is one named output file.
-type artifact struct {
-	name string
-	data []byte
-}
-
-// writeArtifacts writes each artifact into dir and reports its path.
-func writeArtifacts(dir string, outs []artifact) error {
-	for _, out := range outs {
-		path := filepath.Join(dir, out.name)
-		if err := os.WriteFile(path, out.data, 0o644); err != nil {
+// writeArtifacts writes each artifact into dir under its name and reports
+// its path.
+func writeArtifacts(dir string, arts []harness.Artifact) error {
+	for _, a := range arts {
+		path := filepath.Join(dir, a.Name)
+		if err := os.WriteFile(path, a.Data, 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("[wrote %s]\n", path)
@@ -177,9 +167,9 @@ func writeArtifacts(dir string, outs []artifact) error {
 
 // runProf runs the profiled comparison grid and writes the merged fleet
 // artifacts (profile.txt table, profile.folded flame-graph stacks,
-// profile.svg stacked bars, profile.json mergeable digests) plus one
-// breakdown table and SVG per cell into dir. Output bytes are identical at
-// any -j width.
+// profile.svg stacked bars, profile.json mergeable digests) plus the same
+// four per cell, named after the cell, into dir. Output bytes are
+// identical at any -j width.
 func runProf(dir string, sc harness.Scale) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -189,20 +179,11 @@ func runProf(dir string, sc harness.Scale) error {
 	if err != nil {
 		return err
 	}
-	outs := []artifact{
-		{"profile.txt", d.Breakdown},
-		{"profile.folded", d.Folded},
-		{"profile.svg", d.SVG},
-		{"profile.json", d.JSON},
-	}
-	for _, c := range d.Cells {
-		outs = append(outs, artifact{c.Label + ".txt", c.Breakdown}, artifact{c.Label + ".svg", c.SVG})
-	}
-	if err := writeArtifacts(dir, outs); err != nil {
+	if err := writeArtifacts(dir, d.Artifacts); err != nil {
 		return err
 	}
 	fmt.Printf("[prof grid: %d cells, %d requests profiled, done in %v]\n",
-		len(d.Cells), d.Merged.Requests(), sw.Elapsed().Round(time.Millisecond))
+		d.Cells, d.Merged.Requests(), sw.Elapsed().Round(time.Millisecond))
 	return nil
 }
 

@@ -105,8 +105,7 @@ func TestJSONOutput(t *testing.T) {
 }
 
 // TestProfOutput runs the profiled comparison grid at test scale and
-// checks every artifact lands: the merged fleet set plus one table and SVG
-// per cell.
+// checks every artifact lands: the merged fleet set plus each cell's own.
 func TestProfOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 12-cell profiled grid")
@@ -117,7 +116,7 @@ func TestProfOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"profile.txt", "profile.folded", "profile.svg", "profile.json",
-		"daredevil-2L2T.txt", "daredevil-2L4T.svg", "vanilla-2L2T.txt"} {
+		"daredevil-2L2T.txt", "daredevil-2L4T.svg", "vanilla-2L2T.txt", "vanilla-2L4T.json"} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("missing artifact: %v", err)

@@ -21,7 +21,7 @@ import (
 
 func main() {
 	stack := flag.String("stack", "daredevil", "storage stack: vanilla | blk-switch | static-part | dare-base | dare-sched | daredevil")
-	compare := flag.Bool("compare", false, "run the scenario on every stack concurrently and print a comparison (ignores -stack, -breakdown, -trace, -obs-window-us)")
+	compare := flag.Bool("compare", false, "run the scenario on every stack concurrently and print a comparison (ignores -stack; cannot be combined with -breakdown, -trace, -obs-window-us, or -prof)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations with -compare")
 	cores := flag.Int("cores", 4, "CPU cores")
 	nL := flag.Int("l", 4, "L-tenants (4KB rand qd=1, real-time ionice)")
@@ -120,6 +120,10 @@ func main() {
 	}
 
 	if *compare {
+		if err := checkCompare(flag.CommandLine); err != nil {
+			fmt.Fprintln(os.Stderr, "ddsim:", err)
+			os.Exit(2)
+		}
 		runCompare(build, warm, meas, *nL, *nT, m.Cores, *namespaces, *measure)
 		return
 	}
@@ -162,64 +166,70 @@ func main() {
 			res.LCompletionDelay.Mean, res.LCompletionDelay.P99,
 			100*res.LCrossCoreFraction)
 	}
-	if err := writeObsOutputs(sim, *tracePath, *obsWindowUs > 0, *profPath); err != nil {
+	if err := writeObsOutputs(sim, *tracePath, *profPath); err != nil {
 		fmt.Fprintln(os.Stderr, "ddsim:", err)
 		os.Exit(1)
 	}
 }
 
-// writeObsOutputs emits whatever observability surfaces the run armed: the
-// Chrome trace JSON to tracePath, the sampled-gauge CSV to stdout, the
-// layer-latency breakdown + self-profile (with the profile JSON to
-// profPath), and — whenever host recovery escalated — the flight-recorder
-// dumps.
-func writeObsOutputs(sim *daredevil.Simulation, tracePath string, metrics bool, profPath string) error {
-	if profPath != "" {
+// writeObsOutputs routes the run's artifacts by name: the layer-latency
+// breakdown (profile.txt) and the host self-profile to stdout with the
+// mergeable profile.json written to profPath, trace.json written to
+// tracePath, the sampled-gauge metrics.csv to stdout, and — whenever host
+// recovery escalated — the flight-recorder dumps (flight.txt) to stdout.
+func writeObsOutputs(sim *daredevil.Simulation, tracePath, profPath string) error {
+	arts, err := sim.Artifacts()
+	if err != nil {
+		return err
+	}
+	byName := make(map[string][]byte, len(arts))
+	for _, a := range arts {
+		byName[a.Name] = a.Data
+	}
+	if table, ok := byName["profile.txt"]; ok {
 		fmt.Println()
-		if err := sim.WriteProfile(os.Stdout); err != nil {
+		if _, err := os.Stdout.Write(table); err != nil {
 			return err
 		}
 		fmt.Println()
 		if err := sim.WriteSelfProfile(os.Stdout); err != nil {
 			return err
 		}
-		f, err := os.Create(profPath)
-		if err != nil {
-			return err
-		}
-		if err := sim.Profile().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(profPath, byName["profile.json"], 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("  profile: wrote %s (merge with other runs via prof.Merge)\n", profPath)
 	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := sim.WriteTraceJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+	if trace, ok := byName["trace.json"]; ok {
+		if err := os.WriteFile(tracePath, trace, 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("  trace: wrote %s (open at ui.perfetto.dev)\n", tracePath)
 	}
-	if metrics {
-		fmt.Println()
-		if err := sim.WriteMetricsCSV(os.Stdout); err != nil {
-			return err
+	for _, name := range []string{"metrics.csv", "flight.txt"} {
+		if data, ok := byName[name]; ok {
+			fmt.Println()
+			if _, err := os.Stdout.Write(data); err != nil {
+				return err
+			}
 		}
 	}
-	if sim.FlightDumps() > 0 {
-		fmt.Println()
-		if err := sim.WriteFlight(os.Stdout); err != nil {
-			return err
+	return nil
+}
+
+// compareExcludes lists the flags -compare cannot honour: it prints one
+// summary line per stack, so there is no single run for a breakdown,
+// trace, gauge series, or profile to describe.
+var compareExcludes = []string{"breakdown", "trace", "obs-window-us", "prof"}
+
+// checkCompare rejects a -compare run that also sets a flag it would
+// otherwise silently ignore.
+func checkCompare(fs *flag.FlagSet) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range compareExcludes {
+		if set[name] {
+			return fmt.Errorf("-%s cannot be combined with -compare", name)
 		}
 	}
 	return nil
@@ -286,7 +296,6 @@ func runConfig(path string, breakdown bool, tracePath string, traceLimit, obsWin
 	} else if sc.Profile {
 		profPath = strings.TrimSuffix(path, ".json") + ".profile.json"
 	}
-	metrics := obsWindowUs > 0 || sc.ObsWindowUs > 0
 	res := sim.Run(warm, measure)
 	fmt.Printf("scenario %s: stack=%s (measured %v virtual)\n", path, sim.StackName(), measure)
 	fmt.Printf("  L-tenants: avg=%v p99=%v p99.9=%v (%.2f kIOPS, %d ops)\n",
@@ -302,7 +311,7 @@ func runConfig(path string, breakdown bool, tracePath string, traceLimit, obsWin
 		fmt.Printf("  L path components: lock-wait avg=%v | completion-delay avg=%v | cross-core %.0f%%\n",
 			res.LSubmissionWait.Mean, res.LCompletionDelay.Mean, 100*res.LCrossCoreFraction)
 	}
-	return writeObsOutputs(sim, tracePath, metrics, profPath)
+	return writeObsOutputs(sim, tracePath, profPath)
 }
 
 // printFTL reports device-internal GC activity when the run used -ftl (or

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -110,5 +111,39 @@ func TestRunConfigProfiled(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("profile output missing %q", want)
 		}
+	}
+}
+
+// TestCheckCompareRejectsObsFlags checks -compare refuses each flag it
+// cannot honour, naming it, and accepts the flags it does use.
+func TestCheckCompareRejectsObsFlags(t *testing.T) {
+	parse := func(args ...string) *flag.FlagSet {
+		t.Helper()
+		fs := flag.NewFlagSet("ddsim", flag.ContinueOnError)
+		fs.Bool("compare", false, "")
+		fs.Bool("breakdown", false, "")
+		fs.String("trace", "", "")
+		fs.Int("trace-limit", 0, "")
+		fs.Int("obs-window-us", 0, "")
+		fs.String("prof", "", "")
+		fs.Int("l", 4, "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	for _, args := range [][]string{
+		{"-compare", "-breakdown"},
+		{"-compare", "-trace", "t.json"},
+		{"-compare", "-obs-window-us", "1000"},
+		{"-compare", "-prof", "p.json"},
+	} {
+		err := checkCompare(parse(args...))
+		if err == nil || !strings.Contains(err.Error(), args[1]) {
+			t.Errorf("%v: got %v, want an error naming %s", args, err, args[1])
+		}
+	}
+	if err := checkCompare(parse("-compare", "-l", "2")); err != nil {
+		t.Errorf("plain -compare rejected: %v", err)
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"daredevil/internal/fault"
 	"daredevil/internal/ftl"
 	"daredevil/internal/harness"
-	"daredevil/internal/prof"
 	"daredevil/internal/sim"
 	"daredevil/internal/stats"
 	"daredevil/internal/workload"
@@ -316,15 +315,19 @@ func (s *Simulation) SetSeedShift(shift uint64) { s.cell.Mix.SeedShift = shift }
 
 // EnableTrace collects per-request lifecycle spans for up to limit requests
 // (a default budget when limit <= 0) and arms the flight recorder. Call
-// before Run; render afterwards with WriteTrace (phase table),
-// WriteTraceJSON (Chrome trace-event / Perfetto timeline), or WriteFlight
-// (recovery postmortems).
+// before Run; after Run, Artifacts holds trace.json (Chrome trace-event
+// JSON with one track per core, NSQ, chip, and GC die plus recovery
+// instants — open it at ui.perfetto.dev), trace.txt (an aligned phase
+// table: cpu+route, in-NSQ, device, delivery), and, when host recovery
+// escalated, flight.txt (one block per timeout/abort/reset, the recent
+// event stream of every component merged in deterministic order).
 func (s *Simulation) EnableTrace(limit int) { s.cell.EnableTrace(limit) }
 
 // EnableMetrics samples the machine's gauge set (queue depths, per-core
 // busy/IRQ share, controller occupancy, FTL health, recovery deltas) every
-// window of virtual time. Call before Run; export with WriteMetricsCSV or
-// WriteMetricsJSON.
+// window of virtual time. Call before Run; after Run, Artifacts holds
+// metrics.csv (first column window start in µs, one column per gauge) and
+// metrics.svg (one sparkline per gauge).
 func (s *Simulation) EnableMetrics(window Duration) {
 	if window <= 0 {
 		panic("daredevil: EnableMetrics needs a positive window")
@@ -332,69 +335,30 @@ func (s *Simulation) EnableMetrics(window Duration) {
 	s.cell.EnableMetrics(window)
 }
 
-// WriteTrace renders collected request timelines as an aligned phase table
-// (cpu+route, in-NSQ, device, delivery). No-op unless EnableTrace was
-// called.
-func (s *Simulation) WriteTrace(w io.Writer) { s.cell.WriteTraceTable(w) }
-
-// WriteTraceJSON emits the collected trace as Chrome trace-event JSON with
-// one track per core, NSQ, chip, and GC die plus recovery instants — open
-// it at ui.perfetto.dev or chrome://tracing. No-op unless EnableTrace was
-// called.
-func (s *Simulation) WriteTraceJSON(w io.Writer) error { return s.cell.WriteTraceJSON(w) }
-
-// WriteMetricsCSV emits the sampled gauge series as a CSV matrix (first
-// column window start in µs, one column per gauge). No-op unless
-// EnableMetrics was called.
-func (s *Simulation) WriteMetricsCSV(w io.Writer) error { return s.cell.WriteMetricsCSV(w) }
-
-// WriteMetricsJSON emits the sampled gauge series as JSON. No-op unless
-// EnableMetrics was called.
-func (s *Simulation) WriteMetricsJSON(w io.Writer) error { return s.cell.WriteMetricsJSON(w) }
-
-// WriteFlight renders the flight-recorder dumps captured when host
-// recovery escalated (timeout/abort/reset): one block per escalation, the
-// recent event stream of every component merged in deterministic order.
-// No-op when tracing was off or nothing escalated.
-func (s *Simulation) WriteFlight(w io.Writer) error { return s.cell.WriteFlight(w) }
-
-// FlightDumps reports how many recovery escalations captured a flight dump.
-func (s *Simulation) FlightDumps() int { return s.cell.FlightDumps() }
-
 // EnableProfile streams every completed request through the virtual-time
 // profiler: per (tenant-class, layer) latency digests over the fixed
 // submit / queue-wait / fetch / chip / gc / cqe / delivery taxonomy,
-// covering the measurement window. Call before Run; render afterwards
-// with WriteProfile, WriteProfileFolded, or WriteProfileSVG, and inspect
+// covering the measurement window. Call before Run; after Run, Artifacts
+// holds profile.txt (share, mean, p50/p99/p99.9, max per layer),
+// profile.folded ("stack;class;layer ns", ready for flamegraph.pl or
+// speedscope), profile.svg (stacked bars), and profile.json (mergeable
+// digests); Result.Profile carries the same digests as data. Inspect
 // host-side cost with WriteSelfProfile. Unlike EnableTrace there is no
 // span budget — the profiler aggregates every request at O(1) memory.
 func (s *Simulation) EnableProfile() { s.cell.EnableProfile() }
 
-// Profile snapshots the aggregated layer profile (empty before Run or when
-// profiling is off). Profiles from different runs merge deterministically
-// via prof.Merge.
-func (s *Simulation) Profile() prof.Profile {
-	if p := s.cell.Profiler(); p != nil {
-		return p.Profile()
-	}
-	return prof.Profile{}
-}
+// Artifact is one named observability export of a run (trace.json,
+// metrics.csv, profile.txt, ...); identical runs produce identical bytes.
+type Artifact = harness.Artifact
 
-// WriteProfile renders the layer-latency breakdown table (share, mean,
-// p50/p99/p99.9, max per layer). No-op unless EnableProfile was called.
-func (s *Simulation) WriteProfile(w io.Writer) error { return s.cell.WriteProfileTable(w) }
-
-// WriteProfileFolded emits the profile as folded stacks
-// ("stack;class;layer ns"), ready for flamegraph.pl or speedscope. No-op
-// unless EnableProfile was called.
-func (s *Simulation) WriteProfileFolded(w io.Writer) error { return s.cell.WriteProfileFolded(w) }
-
-// WriteProfileSVG renders the breakdown as a stacked horizontal bar chart.
-// No-op unless EnableProfile was called.
-func (s *Simulation) WriteProfileSVG(w io.Writer) error { return s.cell.WriteProfileSVG(w) }
+// Artifacts renders, in a fixed order, every export the run armed with
+// EnableTrace, EnableMetrics, and EnableProfile; it is empty when none was
+// armed. Call after Run.
+func (s *Simulation) Artifacts() ([]Artifact, error) { return s.cell.Artifacts() }
 
 // WriteSelfProfile reports where the simulator spent host wall-clock time
 // (build/warmup/measure/collect). No-op unless EnableProfile was called.
+// It is not an artifact: its bytes differ from host to host.
 func (s *Simulation) WriteSelfProfile(w io.Writer) error { return s.cell.WriteSelfProfile(w) }
 
 // EnableBreakdown records per-request path components for L-tenants

@@ -188,22 +188,29 @@ func TestTraceCapture(t *testing.T) {
 	sim.EnableTrace(10)
 	sim.AddLTenants(2)
 	sim.Run(5*Millisecond, 30*Millisecond)
-	var buf bytes.Buffer
-	sim.WriteTrace(&buf)
-	out := buf.String()
+	arts, err := sim.Artifacts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out string
+	for _, a := range arts {
+		if a.Name == "trace.txt" {
+			out = string(a.Data)
+		}
+	}
 	if !strings.Contains(out, "in-NSQ") || !strings.Contains(out, "fio-L") {
 		t.Fatalf("trace table incomplete:\n%s", out)
 	}
 }
 
+// TestWriteTraceNoOpWithoutEnable pins the off path: a run that armed no
+// observability surface renders no artifacts.
 func TestWriteTraceNoOpWithoutEnable(t *testing.T) {
 	sim := NewSimulation(ServerMachine(2), StackVanilla)
 	sim.AddLTenants(1)
 	sim.Run(Millisecond, 5*Millisecond)
-	var buf bytes.Buffer
-	sim.WriteTrace(&buf)
-	if buf.Len() != 0 {
-		t.Fatal("WriteTrace must be a no-op unless enabled")
+	if arts, err := sim.Artifacts(); err != nil || len(arts) != 0 {
+		t.Fatalf("unarmed run rendered %d artifacts (err %v)", len(arts), err)
 	}
 }
 

@@ -72,7 +72,9 @@ type Cell struct {
 	// armed (host-dependent; excluded from byte-identity artifacts).
 	Wall prof.WallProfile
 	prof *prof.Profiler
-	ran  bool
+	// profExports adds the profile to Artifacts (EnableProfile).
+	profExports bool
+	ran         bool
 }
 
 // NewCell builds an empty cell on the given machine and stack.
@@ -145,18 +147,25 @@ func (c *Cell) EnableMetrics(window sim.Duration) {
 
 // EnableProfile arms the streaming virtual-time profiler: every completed
 // request span feeds per-(stack, class, layer) latency digests, reported in
-// CellResult.Profile after Run. Composes with tracing and metrics (spans
-// are shared); idempotent. Call before Run.
+// CellResult.Profile after Run, and its four profile.* exports join
+// Artifacts. Composes with tracing and metrics (spans are shared);
+// idempotent. Call before Run.
 func (c *Cell) EnableProfile() {
+	c.EnableResultProfile()
+	c.profExports = true
+}
+
+// EnableResultProfile arms the same profiler for CellResult.Profile only:
+// Artifacts renders no profile.* for it unless EnableProfile is called
+// too. For callers that account profiles themselves without exporting
+// them. Idempotent; call before Run.
+func (c *Cell) EnableResultProfile() {
 	if c.prof != nil {
 		return
 	}
 	c.prof = prof.New(string(c.Env.Kind))
 	c.Env.EnableObs(0, 0).EnableProfile(c.prof)
 }
-
-// Profiler returns the cell's armed profiler, or nil when profiling is off.
-func (c *Cell) Profiler() *prof.Profiler { return c.prof }
 
 // Ran reports whether the cell's Run already happened.
 func (c *Cell) Ran() bool { return c.ran }
@@ -262,87 +271,6 @@ func (c *Cell) Run(warmup, measure sim.Duration) CellResult {
 	return res
 }
 
-// WriteTraceTable renders collected request timelines as an aligned phase
-// table. No-op unless tracing was armed.
-func (c *Cell) WriteTraceTable(w io.Writer) error {
-	if c.Env.Obs == nil || c.Env.Obs.Tracer() == nil {
-		return nil
-	}
-	return c.Env.Obs.Tracer().WriteTable(w)
-}
-
-// WriteTraceJSON emits the collected trace as Chrome trace-event JSON
-// (open at ui.perfetto.dev). No-op unless tracing was armed.
-func (c *Cell) WriteTraceJSON(w io.Writer) error {
-	if c.Env.Obs == nil || c.Env.Obs.Tracer() == nil {
-		return nil
-	}
-	return c.Env.Obs.Tracer().WriteJSON(w)
-}
-
-// WriteMetricsCSV emits the sampled gauge series as a CSV matrix. No-op
-// unless metrics sampling was armed.
-func (c *Cell) WriteMetricsCSV(w io.Writer) error {
-	if c.Env.Obs == nil || c.Env.Obs.Sampler() == nil {
-		return nil
-	}
-	return c.Env.Obs.Sampler().WriteCSV(w)
-}
-
-// WriteMetricsJSON emits the sampled gauge series as JSON. No-op unless
-// metrics sampling was armed.
-func (c *Cell) WriteMetricsJSON(w io.Writer) error {
-	if c.Env.Obs == nil || c.Env.Obs.Sampler() == nil {
-		return nil
-	}
-	return c.Env.Obs.Sampler().WriteJSON(w)
-}
-
-// WriteMetricsSVG renders the sampled gauges as sparkline small multiples.
-// No-op unless metrics sampling was armed.
-func (c *Cell) WriteMetricsSVG(w io.Writer) error {
-	if c.Env.Obs == nil || c.Env.Obs.Sampler() == nil {
-		return nil
-	}
-	return WriteObsSVG(w, c.Env.Obs.Sampler())
-}
-
-// WriteFlight renders the flight-recorder dumps captured when host recovery
-// escalated. No-op when tracing was off or nothing escalated.
-func (c *Cell) WriteFlight(w io.Writer) error {
-	if c.Env.Obs == nil {
-		return nil
-	}
-	return c.Env.Obs.Flight().WriteText(w)
-}
-
-// WriteProfileTable renders the cell's layer-latency breakdown as an
-// aligned table. No-op unless profiling was armed.
-func (c *Cell) WriteProfileTable(w io.Writer) error {
-	if c.prof == nil {
-		return nil
-	}
-	return c.prof.Profile().WriteBreakdownTable(w)
-}
-
-// WriteProfileFolded emits the breakdown in flame-graph folded-stack form.
-// No-op unless profiling was armed.
-func (c *Cell) WriteProfileFolded(w io.Writer) error {
-	if c.prof == nil {
-		return nil
-	}
-	return c.prof.Profile().WriteFoldedStacks(w)
-}
-
-// WriteProfileSVG renders the breakdown as a stacked bar chart. No-op
-// unless profiling was armed.
-func (c *Cell) WriteProfileSVG(w io.Writer) error {
-	if c.prof == nil {
-		return nil
-	}
-	return c.prof.Profile().WriteBreakdownSVG(w)
-}
-
 // WriteSelfProfile renders the wall-clock self-profile accumulated across
 // the run phases. No-op unless profiling was armed.
 func (c *Cell) WriteSelfProfile(w io.Writer) error {
@@ -350,14 +278,6 @@ func (c *Cell) WriteSelfProfile(w io.Writer) error {
 		return nil
 	}
 	return c.Wall.WriteText(w)
-}
-
-// FlightDumps reports how many recovery escalations captured a flight dump.
-func (c *Cell) FlightDumps() int {
-	if c.Env.Obs == nil {
-		return 0
-	}
-	return len(c.Env.Obs.Flight().Dumps())
 }
 
 // CellResult aggregates one cell's measurement window. Field names mirror

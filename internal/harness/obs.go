@@ -112,9 +112,9 @@ func (e *Env) registerGauges(window sim.Duration) {
 	})
 }
 
-// WriteObsSVG renders the sampled gauges as small-multiple sparklines: one
+// writeObsSVG renders the sampled gauges as small-multiple sparklines: one
 // compact line chart per gauge, stacked vertically in one SVG document.
-func WriteObsSVG(w io.Writer, s *obs.Sampler) error {
+func writeObsSVG(w io.Writer, s *obs.Sampler) error {
 	const chartW, chartH = 560, 130
 	series := s.Series()
 	var charts []bytes.Buffer
@@ -150,60 +150,23 @@ func WriteObsSVG(w io.Writer, s *obs.Sampler) error {
 	return bw.Flush()
 }
 
-// ObsDemo is the canonical instrumented cell: the Daredevil stack under the
-// brownout fault profile with tracing, sampling, and the flight recorder
-// all armed — the cell ddbench -obs exports and CI archives.
-type ObsDemo struct {
-	Trace   []byte // Chrome trace-event JSON
-	Metrics []byte // sampled gauges, CSV
-	SVG     []byte // sparkline small multiples
-	Flight  []byte // flight-recorder dumps, text
-}
-
-// RunObsDemo runs the demo cell at the given scale and returns its exports.
-func RunObsDemo(sc Scale) (ObsDemo, error) {
+// RunObsDemo runs the canonical instrumented cell at the given scale and
+// returns its artifacts: the Daredevil stack under the brownout fault
+// profile with tracing, sampling, and the flight recorder all armed — the
+// cell ddbench -obs exports and CI archives.
+func RunObsDemo(sc Scale) ([]Artifact, error) {
 	m := SVM(4)
 	fs := ExtFaultSchedule(FaultBrownout, DefaultFaultSeed,
 		sc.Warmup+sc.Measure/4, sc.Warmup+sc.Measure/2)
 	m.Fault = &fs
-	env := NewEnv(m, DareFull)
+	c := NewCell(m, DareFull)
 	window := sc.Measure / 64
 	if window <= 0 {
 		window = sim.Millisecond
 	}
-	o := env.EnableObs(obs.DefaultTraceLimit, window)
-	mix := NewMix(env)
-	mix.AddL(4, 0)
-	mix.AddT(2, 0)
-	for _, j := range mix.AllJobs() {
-		j.Obs = o
-	}
-	o.Start()
-	mix.StartAll()
-	end := sim.Time(sc.Warmup + sc.Measure)
-	env.Eng.RunUntil(end)
-	o.Finish(end)
-
-	var d ObsDemo
-	var buf bytes.Buffer
-	if err := o.Tracer().WriteJSON(&buf); err != nil {
-		return d, err
-	}
-	d.Trace = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := o.Sampler().WriteCSV(&buf); err != nil {
-		return d, err
-	}
-	d.Metrics = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := WriteObsSVG(&buf, o.Sampler()); err != nil {
-		return d, err
-	}
-	d.SVG = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := o.Flight().WriteText(&buf); err != nil {
-		return d, err
-	}
-	d.Flight = append([]byte(nil), buf.Bytes()...)
-	return d, nil
+	c.Env.EnableObs(obs.DefaultTraceLimit, window)
+	c.Mix.AddL(4, 0)
+	c.Mix.AddT(2, 0)
+	c.Run(sc.Warmup, sc.Measure)
+	return c.Artifacts()
 }

@@ -15,53 +15,72 @@ import (
 var obsScale = Scale{Warmup: 20 * sim.Millisecond, Measure: 120 * sim.Millisecond}
 
 // TestObsDemoExportsComplete runs the instrumented demo cell once and
-// checks all four exports carry data: valid trace JSON, a CSV matrix, an
-// SVG document, and a non-empty flight dump from the recovery escalations.
+// checks its exports carry data: valid trace JSON, the phase table, a CSV
+// matrix, an SVG document, and a non-empty flight dump from the recovery
+// escalations.
 func TestObsDemoExportsComplete(t *testing.T) {
-	d, err := RunObsDemo(obsScale)
+	arts, err := RunObsDemo(obsScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !json.Valid(d.Trace) {
+	trace := artifactData(t, arts, "trace.json")
+	if !json.Valid(trace) {
 		t.Fatal("trace export is not valid JSON")
 	}
-	if !bytes.Contains(d.Trace, []byte("traceEvents")) {
+	if !bytes.Contains(trace, []byte("traceEvents")) {
 		t.Fatal("trace export missing traceEvents envelope")
 	}
-	lines := strings.Split(strings.TrimSpace(string(d.Metrics)), "\n")
+	if !bytes.Contains(artifactData(t, arts, "trace.txt"), []byte("in-NSQ")) {
+		t.Fatal("trace phase table missing its phase columns")
+	}
+	lines := strings.Split(strings.TrimSpace(string(artifactData(t, arts, "metrics.csv"))), "\n")
 	if len(lines) < 3 || !strings.HasPrefix(lines[0], "t_us,") {
 		t.Fatalf("metrics CSV malformed (%d lines, header %q)", len(lines), lines[0])
 	}
 	if !strings.Contains(lines[0], "recovery.timeouts") {
 		t.Fatalf("metrics CSV missing recovery gauges: %q", lines[0])
 	}
-	if !bytes.HasPrefix(d.SVG, []byte("<svg")) {
+	if !bytes.HasPrefix(artifactData(t, arts, "metrics.svg"), []byte("<svg")) {
 		t.Fatal("SVG export malformed")
 	}
-	if !bytes.Contains(d.Flight, []byte("flight dump 1:")) {
+	if !bytes.Contains(artifactData(t, arts, "flight.txt"), []byte("flight dump 1:")) {
 		t.Fatal("brownout cell must capture at least one flight dump")
 	}
+}
+
+// artifactData returns the named artifact's bytes, failing the test when
+// the list lacks it.
+func artifactData(t *testing.T, arts []Artifact, name string) []byte {
+	t.Helper()
+	for _, a := range arts {
+		if a.Name == name {
+			return a.Data
+		}
+	}
+	t.Fatalf("no %s among the artifacts", name)
+	return nil
 }
 
 // runObsCells runs n instrumented fault-injected cells through the worker
 // pool and returns each cell's concatenated exports.
 func runObsCells(n int) []string {
 	return RunCells(n, func(i int) string {
-		d, err := RunObsDemo(obsScale)
+		arts, err := RunObsDemo(obsScale)
 		if err != nil {
 			return "error: " + err.Error()
 		}
 		var b bytes.Buffer
-		b.Write(d.Trace)
-		b.Write(d.Metrics)
-		b.Write(d.Flight)
+		for _, a := range arts {
+			b.WriteString(a.Name)
+			b.Write(a.Data)
+		}
 		return b.String()
 	})
 }
 
 // TestObsExportsDeterministicAcrossParallelism is the observability
-// determinism gate: the trace JSON, sampled metrics, and flight dumps of a
-// fault-injected cell must be byte-identical whether cells run serially or
+// determinism gate: every export of a fault-injected cell must be
+// byte-identical whether cells run serially or
 // through the full worker pool.
 func TestObsExportsDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {

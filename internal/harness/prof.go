@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 
 	"daredevil/internal/block"
@@ -17,29 +16,16 @@ import (
 // at any parallelism, the grid-level "where does the time go" view ddbench
 // -prof exports and CI archives.
 
-// ProfDemoCell is one profiled grid cell's exports.
-type ProfDemoCell struct {
-	// Label identifies the cell (stack + tenant mix), usable as a file
-	// stem.
-	Label string
-	// Breakdown is the cell's layer-latency table; SVG its stacked-bar
-	// rendering.
-	Breakdown []byte
-	SVG       []byte
-}
-
-// ProfDemo is the profiled grid's full export set.
+// ProfDemo is the profiled grid's export set.
 type ProfDemo struct {
-	// Cells holds per-cell artifacts in grid order.
-	Cells []ProfDemoCell
+	// Cells counts the grid cells.
+	Cells int
 	// Merged is the fleet profile — every cell folded together.
 	Merged prof.Profile
-	// Breakdown, Folded, SVG, and JSON render Merged: the aligned table,
-	// flame-graph folded stacks, stacked bars, and canonical JSON.
-	Breakdown []byte
-	Folded    []byte
-	SVG       []byte
-	JSON      []byte
+	// Artifacts renders Merged as profile.txt, profile.folded,
+	// profile.svg and profile.json, then each cell's own profile under its
+	// label (e.g. daredevil-2L2T.txt), in grid order.
+	Artifacts []Artifact
 }
 
 // profGridSpecs is the demo grid: every stack crossed with two colocation
@@ -102,64 +88,23 @@ func profCellLabel(spec CellSpec) string {
 }
 
 // RunProfDemo runs the profiled comparison grid at the given scale and
-// returns per-cell and merged artifacts. Cells fan out over the default
+// returns the merged and per-cell artifacts. Cells fan out over the default
 // runner; results and the merged profile are assembled in grid index
 // order, and the digest merge is order-independent, so every byte of the
 // output is identical at any SetParallelism width.
 func RunProfDemo(sc Scale) (ProfDemo, error) {
 	specs := profGridSpecs(sc)
-	type cellOut struct {
-		res  CellResult
-		demo ProfDemoCell
-	}
-	outs := RunCells(len(specs), func(i int) cellOut {
-		var out cellOut
-		out.res = RunCellSpec(specs[i])
-		out.demo.Label = profCellLabel(specs[i])
-		return out
-	})
-
-	var d ProfDemo
-	var buf bytes.Buffer
-	results := make([]CellResult, len(outs))
-	for i, o := range outs {
-		results[i] = o.res
-		if o.res.Profile == nil {
-			return d, fmt.Errorf("harness: profiled cell %s returned no profile", o.demo.Label)
-		}
-		buf.Reset()
-		if err := o.res.Profile.WriteBreakdownTable(&buf); err != nil {
-			return d, err
-		}
-		o.demo.Breakdown = append([]byte(nil), buf.Bytes()...)
-		buf.Reset()
-		if err := o.res.Profile.WriteBreakdownSVG(&buf); err != nil {
-			return d, err
-		}
-		o.demo.SVG = append([]byte(nil), buf.Bytes()...)
-		d.Cells = append(d.Cells, o.demo)
-	}
+	results := RunCells(len(specs), func(i int) CellResult { return RunCellSpec(specs[i]) })
+	d := ProfDemo{Cells: len(specs)}
 	d.Merged, _ = MergeCellProfiles(results)
-
-	buf.Reset()
-	if err := d.Merged.WriteBreakdownTable(&buf); err != nil {
-		return d, err
+	rs := profileRenders(profileStem, d.Merged)
+	for i, res := range results {
+		if res.Profile == nil {
+			return d, fmt.Errorf("harness: profiled cell %s returned no profile", profCellLabel(specs[i]))
+		}
+		rs = append(rs, profileRenders(profCellLabel(specs[i]), *res.Profile)...)
 	}
-	d.Breakdown = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := d.Merged.WriteFoldedStacks(&buf); err != nil {
-		return d, err
-	}
-	d.Folded = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := d.Merged.WriteBreakdownSVG(&buf); err != nil {
-		return d, err
-	}
-	d.SVG = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := d.Merged.WriteJSON(&buf); err != nil {
-		return d, err
-	}
-	d.JSON = append([]byte(nil), buf.Bytes()...)
-	return d, nil
+	var err error
+	d.Artifacts, err = renderAll(rs)
+	return d, err
 }

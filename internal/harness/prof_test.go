@@ -49,18 +49,22 @@ func TestProfiledCell(t *testing.T) {
 			t.Fatalf("group %s: layer sum %d vs total %d", g.Class, layerSum, g.Total.Sum)
 		}
 	}
-	var table, folded bytes.Buffer
-	if err := cell.WriteProfileTable(&table); err != nil {
+	arts, err := cell.Artifacts()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(table.String(), "queue_wait") {
+	var names []string
+	for _, a := range arts {
+		names = append(names, a.Name)
+	}
+	if got := strings.Join(names, " "); got != "profile.txt profile.folded profile.svg profile.json" {
+		t.Fatalf("profiled cell artifacts = %s", got)
+	}
+	if !strings.Contains(string(artifactData(t, arts, "profile.txt")), "queue_wait") {
 		t.Fatal("profile table missing layer rows")
 	}
-	if err := cell.WriteProfileFolded(&folded); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(folded.String(), string(spec.Kind)+";") {
-		t.Fatalf("folded stacks missing stack frames:\n%s", folded.String())
+	if folded := artifactData(t, arts, "profile.folded"); !strings.Contains(string(folded), string(spec.Kind)+";") {
+		t.Fatalf("folded stacks missing stack frames:\n%s", folded)
 	}
 	if cell.Wall.Empty() {
 		t.Fatal("wall self-profile empty on profiled run")
@@ -87,15 +91,43 @@ func TestUnprofiledCellHasNoProfile(t *testing.T) {
 	if !cell.Wall.Empty() {
 		t.Fatal("unprofiled cell metered wall time")
 	}
-	var buf bytes.Buffer
-	if err := cell.WriteProfileTable(&buf); err != nil || buf.Len() != 0 {
-		t.Fatal("WriteProfileTable not a no-op when profiling is off")
+	if arts, err := cell.Artifacts(); err != nil || len(arts) != 0 {
+		t.Fatalf("unprofiled cell rendered %d artifacts (err %v)", len(arts), err)
+	}
+}
+
+// TestResultProfileHasNoArtifacts pins the result-only profiler: the
+// result carries the same profile as EnableProfile, but no profile.*
+// export is rendered.
+func TestResultProfileHasNoArtifacts(t *testing.T) {
+	spec := profGridSpecs(profScale)[0]
+	spec.Profile = false
+	cell := BuildCell(spec)
+	cell.EnableResultProfile()
+	res := cell.Run(spec.Warmup, spec.Measure)
+	if res.Profile == nil {
+		t.Fatal("result-only profiling returned no profile")
+	}
+	if arts, err := cell.Artifacts(); err != nil || len(arts) != 0 {
+		t.Fatalf("result-only profiling rendered %d artifacts (err %v)", len(arts), err)
+	}
+	spec.Profile = true
+	want := RunCellSpec(spec)
+	var a, b bytes.Buffer
+	if err := res.Profile.WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Profile.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("result-only profile differs from the exported one")
 	}
 }
 
 // TestProfDemoBitIdentityAcrossParallelism is the tentpole's determinism
-// gate: the merged grid profile — table, folded stacks, SVG, and JSON —
-// must be byte-identical between -j1 and -j8.
+// gate: the merged grid profile and every cell's profile — table, folded
+// stacks, SVG, and JSON — must be byte-identical between -j1 and -j8.
 func TestProfDemoBitIdentityAcrossParallelism(t *testing.T) {
 	defer SetParallelism(Parallelism())
 
@@ -110,27 +142,15 @@ func TestProfDemoBitIdentityAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !bytes.Equal(d1.Breakdown, d8.Breakdown) {
-		t.Error("merged breakdown table differs between -j1 and -j8")
+	if d1.Cells != 12 || len(d1.Artifacts) != 4*(d1.Cells+1) {
+		t.Fatalf("grid of %d cells rendered %d artifacts", d1.Cells, len(d1.Artifacts))
 	}
-	if !bytes.Equal(d1.Folded, d8.Folded) {
-		t.Error("merged folded stacks differ between -j1 and -j8")
+	if len(d1.Artifacts) != len(d8.Artifacts) {
+		t.Fatalf("artifact counts differ: %d vs %d", len(d1.Artifacts), len(d8.Artifacts))
 	}
-	if !bytes.Equal(d1.SVG, d8.SVG) {
-		t.Error("merged SVG differs between -j1 and -j8")
-	}
-	if !bytes.Equal(d1.JSON, d8.JSON) {
-		t.Error("merged JSON differs between -j1 and -j8")
-	}
-	if len(d1.Cells) != len(d8.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(d1.Cells), len(d8.Cells))
-	}
-	for i := range d1.Cells {
-		if d1.Cells[i].Label != d8.Cells[i].Label {
-			t.Fatalf("cell %d label differs: %s vs %s", i, d1.Cells[i].Label, d8.Cells[i].Label)
-		}
-		if !bytes.Equal(d1.Cells[i].Breakdown, d8.Cells[i].Breakdown) {
-			t.Errorf("cell %s breakdown differs between -j1 and -j8", d1.Cells[i].Label)
+	for i, a := range d1.Artifacts {
+		if b := d8.Artifacts[i]; a.Name != b.Name || !bytes.Equal(a.Data, b.Data) {
+			t.Errorf("artifact %d (%s vs %s) differs between -j1 and -j8", i, a.Name, b.Name)
 		}
 	}
 	if d1.Merged.Requests() == 0 {

@@ -261,28 +261,6 @@ func TestSamplerWindowsAndCSV(t *testing.T) {
 	}
 }
 
-func TestSamplerWriteJSONValid(t *testing.T) {
-	eng := sim.New()
-	o := New(eng)
-	o.Registry.Register("g", func() float64 { return 1.5 })
-	o.EnableSampler(50 * sim.Microsecond)
-	o.Start()
-	end := sim.Time(200 * sim.Microsecond)
-	eng.RunUntil(end)
-	o.Finish(end)
-	var buf bytes.Buffer
-	if err := o.Sampler().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string][]map[string]float64
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(doc["g"]) == 0 {
-		t.Fatal("no points for gauge g")
-	}
-}
-
 func TestWriteTableContainsPhases(t *testing.T) {
 	o := New(sim.New())
 	o.EnableTrace(10)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -131,29 +130,5 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 		}
 		bw.WriteByte('\n')
 	}
-	return bw.Flush()
-}
-
-// WriteJSON emits the sampled series as a JSON object keyed by gauge name
-// (registration order), each value a list of {t_us, v} points.
-func (s *Sampler) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\n")
-	ser := s.Series()
-	for i, sr := range ser {
-		if i > 0 {
-			bw.WriteString(",\n")
-		}
-		fmt.Fprintf(bw, "  %s: [", strconv.Quote(sr.Name))
-		for j, p := range sr.Points {
-			if j > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, "{\"t_us\":%s,\"v\":%s}", usec(p.At),
-				strconv.FormatFloat(p.Value, 'g', -1, 64))
-		}
-		bw.WriteString("]")
-	}
-	bw.WriteString("\n}\n")
 	return bw.Flush()
 }

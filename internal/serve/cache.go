@@ -3,8 +3,6 @@ package serve
 import (
 	"container/list"
 	"sync"
-
-	"daredevil/internal/harness"
 )
 
 // Completed cells are cached keyed by (scenario hash, seed, git revision):
@@ -29,25 +27,13 @@ type cacheKey struct {
 	Artifacts bool
 }
 
-// cacheEntry is one cached cell: the typed result plus any rendered obs
-// artifacts.
-type cacheEntry struct {
-	result        harness.CellResult
-	trace         []byte
-	metricsCSV    []byte
-	metricsSVG    []byte
-	profileTxt    []byte
-	profileFolded []byte
-	profileSVG    []byte
-}
-
 // resultCache is a mutex-guarded LRU over completed cells.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
 	order   *list.List // front = most recently used; values are cacheKey
 	entries map[cacheKey]*list.Element
-	values  map[cacheKey]cacheEntry
+	values  map[cacheKey]cellOutput
 	hits    uint64
 	misses  uint64
 }
@@ -60,18 +46,18 @@ func newResultCache(max int) *resultCache {
 		max:     max,
 		order:   list.New(),
 		entries: make(map[cacheKey]*list.Element),
-		values:  make(map[cacheKey]cacheEntry),
+		values:  make(map[cacheKey]cellOutput),
 	}
 }
 
 // get returns the entry for k, marking it most recently used.
-func (c *resultCache) get(k cacheKey) (cacheEntry, bool) {
+func (c *resultCache) get(k cacheKey) (cellOutput, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
 		c.misses++
-		return cacheEntry{}, false
+		return cellOutput{}, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
@@ -80,7 +66,7 @@ func (c *resultCache) get(k cacheKey) (cacheEntry, bool) {
 
 // put stores the entry for k, evicting the least recently used entry when
 // the cache is full.
-func (c *resultCache) put(k cacheKey, e cacheEntry) {
+func (c *resultCache) put(k cacheKey, e cellOutput) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path"
 	"strconv"
 	"time"
 
@@ -215,23 +216,28 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("artifact")
-	b, ok := jb.cellBytes(idx, name)
+	a, ok := jb.artifact(idx, name)
 	if !ok {
 		writeErr(w, http.StatusNotFound,
 			"job %s cell %d has no artifact %q (arm \"trace\", \"obsWindowUs\", or \"profile\")", jb.status().ID, idx, name)
 		return
 	}
-	switch name {
-	case "trace.json":
-		w.Header().Set("Content-Type", "application/json")
-	case "metrics.csv":
-		w.Header().Set("Content-Type", "text/csv")
-	case "metrics.svg", "profile.svg":
-		w.Header().Set("Content-Type", "image/svg+xml")
-	case "profile.txt", "profile.folded":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Type", contentType(a.Name))
+	w.Write(a.Data)
+}
+
+// contentType derives an artifact's Content-Type from its extension.
+func contentType(name string) string {
+	switch path.Ext(name) {
+	case ".json":
+		return "application/json"
+	case ".csv":
+		return "text/csv"
+	case ".svg":
+		return "image/svg+xml"
+	default: // .txt, .folded
+		return "text/plain; charset=utf-8"
 	}
-	w.Write(b)
 }
 
 // metricsDoc is the GET /metrics.json payload (the legacy JSON health

@@ -27,30 +27,12 @@ const (
 	jobFailed  jobState = "failed"
 )
 
-// cellOutput is one evaluated cell: the typed result plus any rendered
-// artifacts. It is the in-flight twin of cacheEntry.
+// cellOutput is one evaluated cell: the typed result plus the rendered
+// artifacts, in the cell's canonical order. The cache stores the same
+// value.
 type cellOutput struct {
-	result        harness.CellResult
-	trace         []byte
-	metricsCSV    []byte
-	metricsSVG    []byte
-	profileTxt    []byte
-	profileFolded []byte
-	profileSVG    []byte
-}
-
-func entryFromOutput(o cellOutput) cacheEntry {
-	return cacheEntry{
-		result: o.result, trace: o.trace, metricsCSV: o.metricsCSV, metricsSVG: o.metricsSVG,
-		profileTxt: o.profileTxt, profileFolded: o.profileFolded, profileSVG: o.profileSVG,
-	}
-}
-
-func outputFromEntry(e cacheEntry) cellOutput {
-	return cellOutput{
-		result: e.result, trace: e.trace, metricsCSV: e.metricsCSV, metricsSVG: e.metricsSVG,
-		profileTxt: e.profileTxt, profileFolded: e.profileFolded, profileSVG: e.profileSVG,
-	}
+	result    harness.CellResult
+	artifacts []harness.Artifact
 }
 
 // job is one accepted request moving through the queue and worker pool.
@@ -107,31 +89,19 @@ func (j *job) setWhatIfResult(log []probeRecord, answer int, feasible bool, cach
 	j.mu.Unlock()
 }
 
-// cellBytes returns one artifact of one cell, if present.
-func (j *job) cellBytes(idx int, artifact string) ([]byte, bool) {
+// artifact returns one named artifact of one cell, if present.
+func (j *job) artifact(idx int, name string) (harness.Artifact, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != jobDone || idx < 0 || idx >= len(j.outs) {
-		return nil, false
+		return harness.Artifact{}, false
 	}
-	var b []byte
-	switch artifact {
-	case "trace.json":
-		b = j.outs[idx].trace
-	case "metrics.csv":
-		b = j.outs[idx].metricsCSV
-	case "metrics.svg":
-		b = j.outs[idx].metricsSVG
-	case "profile.txt":
-		b = j.outs[idx].profileTxt
-	case "profile.folded":
-		b = j.outs[idx].profileFolded
-	case "profile.svg":
-		b = j.outs[idx].profileSVG
-	default:
-		return nil, false
+	for _, a := range j.outs[idx].artifacts {
+		if a.Name == name {
+			return a, true
+		}
 	}
-	return b, len(b) > 0
+	return harness.Artifact{}, false
 }
 
 // jobStatusDoc is the varying per-job metadata (id, state, cache counts).
@@ -276,23 +246,8 @@ func cellDocOf(p scenario.Point, o cellOutput) cellDoc {
 		}
 	}
 	d.Profile = profileGroupDocsOf(o.result.Profile)
-	if len(o.trace) > 0 {
-		d.Artifacts = append(d.Artifacts, "trace.json")
-	}
-	if len(o.metricsCSV) > 0 {
-		d.Artifacts = append(d.Artifacts, "metrics.csv")
-	}
-	if len(o.metricsSVG) > 0 {
-		d.Artifacts = append(d.Artifacts, "metrics.svg")
-	}
-	if len(o.profileTxt) > 0 {
-		d.Artifacts = append(d.Artifacts, "profile.txt")
-	}
-	if len(o.profileFolded) > 0 {
-		d.Artifacts = append(d.Artifacts, "profile.folded")
-	}
-	if len(o.profileSVG) > 0 {
-		d.Artifacts = append(d.Artifacts, "profile.svg")
+	for _, a := range o.artifacts {
+		d.Artifacts = append(d.Artifacts, a.Name)
 	}
 	return d
 }

@@ -100,6 +100,7 @@ func TestProfileArtifacts(t *testing.T) {
 		{"profile.txt", "text/plain; charset=utf-8", "queue_wait"},
 		{"profile.folded", "text/plain; charset=utf-8", "daredevil;"},
 		{"profile.svg", "image/svg+xml", "<svg"},
+		{"profile.json", "application/json", `"layer": "queue_wait"`},
 	} {
 		code, data, hdr := get(t, fmt.Sprintf("%s/v1/jobs/%s/cells/0/%s", ts.URL, id, tc.name))
 		if code != http.StatusOK {

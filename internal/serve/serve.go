@@ -16,11 +16,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,7 +91,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	jobOrder []string
+	jobOrder []string // submission order
+	finished []string // completion order; at most maxFinishedJobs
 	nextID   int
 	draining bool
 
@@ -156,9 +157,16 @@ func (s *Server) work() {
 	}
 }
 
+// maxFinishedJobs bounds how many done or failed jobs the server keeps
+// for GET; older ones are forgotten (404), so the job table cannot grow
+// without bound in a long-running daemon. Queued and running jobs are
+// never evicted, and they are bounded by QueueDepth and Workers.
+const maxFinishedJobs = 1024
+
 // execute runs one job to completion, converting panics from modeling code
 // into a failed job rather than a dead daemon.
 func (s *Server) execute(jb *job) {
+	defer s.retire(jb)
 	defer close(jb.done)
 	defer func() {
 		if p := recover(); p != nil {
@@ -196,7 +204,7 @@ func (s *Server) runSweep(jb *job) error {
 	for i, p := range points {
 		keys[i] = s.keyFor(p.Scenario)
 		if e, ok := s.cache.get(keys[i]); ok {
-			outs[i] = outputFromEntry(e)
+			outs[i] = e
 		} else {
 			missIdx = append(missIdx, i)
 		}
@@ -213,7 +221,7 @@ func (s *Server) runSweep(jb *job) error {
 			}
 		}
 		for _, i := range missIdx {
-			s.cache.put(keys[i], entryFromOutput(outs[i]))
+			s.cache.put(keys[i], outs[i])
 		}
 	}
 	jb.setSweepResult(outs, len(points)-len(missIdx))
@@ -225,13 +233,13 @@ func (s *Server) runSweep(jb *job) error {
 func (s *Server) runCachedPoint(sc scenario.Scenario) (out cellOutput, hit bool, err error) {
 	key := s.keyFor(sc)
 	if e, ok := s.cache.get(key); ok {
-		return outputFromEntry(e), true, nil
+		return e, true, nil
 	}
 	out, err = s.runPoint(sc)
 	if err != nil {
 		return out, false, err
 	}
-	s.cache.put(key, entryFromOutput(out))
+	s.cache.put(key, out)
 	return out, false, nil
 }
 
@@ -254,16 +262,21 @@ func wantsArtifacts(sc scenario.Scenario) bool {
 // simulatePoint builds and runs one cell and renders its artifacts. Every
 // fresh run is profiled — profiling is observation-only, so results are
 // unchanged and cache keys don't care — and its layer profile merges into
-// the fleet telemetry behind /metrics. The per-cell profile and its
-// rendered artifacts are kept only when the scenario asked for them.
+// the fleet telemetry behind /metrics. The per-cell profile is kept only
+// when the scenario asked for it.
 func (s *Server) simulatePoint(sc scenario.Scenario) (cellOutput, error) {
 	var out cellOutput
 	spec, err := sc.CellSpec()
 	if err != nil {
 		return out, err
 	}
-	spec.Profile = true
 	cell := harness.BuildCell(spec)
+	// The fleet profile is armed result-only, so Artifacts below renders
+	// exactly the surfaces the scenario armed: no profile.* unless it set
+	// "profile", and nothing at all for a scenario that armed none.
+	// Rendering is the costly part of an artifact, and most served cells
+	// (every probe of a plain what-if search) ask for none.
+	cell.EnableResultProfile()
 	out.result = cell.Run(spec.Warmup, spec.Measure)
 	s.cellsRun.Add(1)
 	if p := out.result.Profile; p != nil {
@@ -273,40 +286,9 @@ func (s *Server) simulatePoint(sc scenario.Scenario) (cellOutput, error) {
 	}
 	if !sc.Profile {
 		out.result.Profile = nil
-	} else {
-		var table, folded, svg bytes.Buffer
-		if err := cell.WriteProfileTable(&table); err != nil {
-			return out, err
-		}
-		if err := cell.WriteProfileFolded(&folded); err != nil {
-			return out, err
-		}
-		if err := cell.WriteProfileSVG(&svg); err != nil {
-			return out, err
-		}
-		out.profileTxt = append([]byte(nil), table.Bytes()...)
-		out.profileFolded = append([]byte(nil), folded.Bytes()...)
-		out.profileSVG = append([]byte(nil), svg.Bytes()...)
 	}
-	if spec.Trace {
-		var buf bytes.Buffer
-		if err := cell.WriteTraceJSON(&buf); err != nil {
-			return out, err
-		}
-		out.trace = append([]byte(nil), buf.Bytes()...)
-	}
-	if spec.MetricsWindow > 0 {
-		var csv, svg bytes.Buffer
-		if err := cell.WriteMetricsCSV(&csv); err != nil {
-			return out, err
-		}
-		if err := cell.WriteMetricsSVG(&svg); err != nil {
-			return out, err
-		}
-		out.metricsCSV = append([]byte(nil), csv.Bytes()...)
-		out.metricsSVG = append([]byte(nil), svg.Bytes()...)
-	}
-	return out, nil
+	out.artifacts, err = cell.Artifacts()
+	return out, err
 }
 
 // fleetProfile snapshots the merged layer profile of every cell simulated
@@ -379,6 +361,22 @@ func (s *Server) submit(jb *job) (status int) {
 	s.jobOrder = append(s.jobOrder, jb.id)
 	s.jobsAccepted.Add(1)
 	return http.StatusAccepted
+}
+
+// retire records a job as finished and evicts the oldest finished jobs
+// beyond maxFinishedJobs.
+func (s *Server) retire(jb *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, jb.id)
+	for len(s.finished) > maxFinishedJobs {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, old)
+		if i := slices.Index(s.jobOrder, old); i >= 0 {
+			s.jobOrder = slices.Delete(s.jobOrder, i, i+1)
+		}
+	}
 }
 
 // jobByID looks a job up.

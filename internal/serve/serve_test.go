@@ -266,6 +266,7 @@ func TestArtifacts(t *testing.T) {
 	id := jobID(t, body)
 	for _, tc := range []struct{ name, ctype, marker string }{
 		{"trace.json", "application/json", "traceEvents"},
+		{"trace.txt", "text/plain; charset=utf-8", "in-NSQ"},
 		{"metrics.csv", "text/csv", "t_us"},
 		{"metrics.svg", "image/svg+xml", "<svg"},
 	} {
@@ -380,8 +381,10 @@ func TestJobsList(t *testing.T) {
 }
 
 // TestSimulatePointArtifactsMatchSpec double-checks the artifact plumbing
-// at the package level: a metrics-armed scenario yields CSV starting with
-// the sampler header and a non-empty SVG.
+// at the package level: a metrics-armed scenario yields exactly the two
+// metrics exports — no trace, and no profile.* even though every fresh
+// cell is profiled for the fleet telemetry — and a scenario that arms
+// nothing yields no artifacts at all.
 func TestSimulatePointArtifactsMatchSpec(t *testing.T) {
 	s := New(Config{GitRev: "test"})
 	defer s.Close()
@@ -394,13 +397,110 @@ func TestSimulatePointArtifactsMatchSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.metricsCSV) == 0 || len(out.metricsSVG) == 0 {
-		t.Fatalf("missing artifacts: csv=%d svg=%d bytes", len(out.metricsCSV), len(out.metricsSVG))
+	var names []string
+	for _, a := range out.artifacts {
+		if len(a.Data) == 0 {
+			t.Fatalf("%s is empty", a.Name)
+		}
+		names = append(names, a.Name)
 	}
-	if out.trace != nil {
-		t.Fatalf("trace rendered without \"trace\": true")
+	if got := strings.Join(names, " "); got != "metrics.csv metrics.svg" {
+		t.Fatalf("artifacts = %q, want the metrics pair only", got)
+	}
+	if !bytes.HasPrefix(out.artifacts[0].Data, []byte("t_us,")) {
+		t.Fatalf("metrics CSV lacks the sampler header: %.40s", out.artifacts[0].Data)
+	}
+	if out.result.Profile != nil {
+		t.Fatal("unprofiled scenario kept its telemetry profile in the result")
 	}
 	if out.result.LTenantLatency.Count == 0 || out.result.LTenantLatency.Mean <= sim.Duration(0) {
 		t.Fatalf("empty L latency in result: %+v", out.result.LTenantLatency)
+	}
+
+	plain, err := scenario.Parse([]byte(smallScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err = s.simulatePoint(plain); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.artifacts) != 0 {
+		t.Fatalf("unarmed scenario rendered %d artifacts", len(out.artifacts))
+	}
+}
+
+// TestFinishedJobsBounded checks the job table keeps at most
+// maxFinishedJobs finished jobs, forgetting the oldest first (their GETs
+// answer 404), while a job still running is never evicted.
+func TestFinishedJobsBounded(t *testing.T) {
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 4})
+	s.runPoint = func(sc scenario.Scenario) (cellOutput, error) {
+		if sc.Seed == 7 {
+			<-release
+		}
+		return cellOutput{}, nil
+	}
+	submit := func(seed uint64) *job {
+		t.Helper()
+		sc, err := scenario.Parse([]byte(smallScenario))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Seed = seed
+		jb := newJob(jobSweep)
+		jb.base = sc
+		jb.points = []scenario.Point{{Scenario: sc}}
+		if code := s.submit(jb); code != http.StatusAccepted {
+			t.Fatalf("submit: got %d", code)
+		}
+		return jb
+	}
+	blocker := submit(7)
+	waitState(t, ts.URL, blocker.id, "running")
+	var quick []*job
+	for i := 0; i < maxFinishedJobs+10; i++ {
+		jb := submit(0)
+		<-jb.done
+		quick = append(quick, jb)
+	}
+	// retire runs just after done closes; wait for the last one.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.listJobs()) != maxFinishedJobs+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job table holds %d jobs, want %d", len(s.listJobs()), maxFinishedJobs+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code, _, _ := get(t, ts.URL+"/v1/jobs/"+blocker.id); code != http.StatusOK {
+		t.Fatalf("running job evicted: GET got %d", code)
+	}
+	for _, jb := range quick[:10] {
+		if code, _, _ := get(t, ts.URL+"/v1/jobs/"+jb.id+"/result"); code != http.StatusNotFound {
+			t.Fatalf("oldest finished job %s kept: GET got %d, want 404", jb.id, code)
+		}
+	}
+	if code, _, _ := get(t, ts.URL+"/v1/jobs/"+quick[10].id+"/result"); code != http.StatusOK {
+		t.Fatalf("newer finished job %s evicted: GET got %d", quick[10].id, code)
+	}
+	var list struct {
+		Jobs []jobStatusDoc `json:"jobs"`
+	}
+	_, lb, _ := get(t, ts.URL+"/v1/jobs")
+	if err := json.Unmarshal(lb, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != maxFinishedJobs+1 || list.Jobs[0].ID != blocker.id {
+		t.Fatalf("/v1/jobs lists %d jobs starting at %s, want %d starting at %s",
+			len(list.Jobs), list.Jobs[0].ID, maxFinishedJobs+1, blocker.id)
+	}
+
+	close(release)
+	s.Close()
+	if n := len(s.listJobs()); n != maxFinishedJobs {
+		t.Fatalf("after the blocker finished the table holds %d jobs, want %d", n, maxFinishedJobs)
+	}
+	if _, ok := s.jobByID(quick[10].id); ok {
+		t.Fatalf("finishing the blocker did not evict the oldest finished job %s", quick[10].id)
 	}
 }

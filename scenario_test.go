@@ -1,7 +1,6 @@
 package daredevil
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -147,21 +146,23 @@ func TestScenarioObservabilityFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(warm, measure)
-	var trace, csv bytes.Buffer
-	if err := sim.WriteTraceJSON(&trace); err != nil {
+	arts, err := sim.Artifacts()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !json.Valid(trace.Bytes()) {
+	got := map[string]string{}
+	for _, a := range arts {
+		got[a.Name] = string(a.Data)
+	}
+	trace := got["trace.json"]
+	if !json.Valid([]byte(trace)) {
 		t.Fatal("scenario trace is not valid JSON")
 	}
-	if !strings.Contains(trace.String(), `"name":"read"`) && !strings.Contains(trace.String(), `"name":"write"`) {
+	if !strings.Contains(trace, `"name":"read"`) && !strings.Contains(trace, `"name":"write"`) {
 		t.Fatal("scenario trace has no device slices")
 	}
-	if err := sim.WriteMetricsCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(csv.String(), "\n"); lines < 3 {
-		t.Fatalf("metrics CSV too short (%d lines):\n%s", lines, csv.String())
+	if lines := strings.Count(got["metrics.csv"], "\n"); lines < 3 {
+		t.Fatalf("metrics CSV too short (%d lines):\n%s", lines, got["metrics.csv"])
 	}
 }
 

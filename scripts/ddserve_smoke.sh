@@ -1,7 +1,8 @@
 #!/bin/sh
 # ddserve end-to-end smoke test: boot the daemon, run a sweep, re-submit it
-# to prove the cache serves the repeat, answer a what-if query, and shut
-# down gracefully with SIGTERM. Needs only a POSIX shell and curl.
+# to prove the cache serves the repeat, answer a what-if query, fetch every
+# artifact of an instrumented cell (fresh and from the cache), and shut
+# down gracefully with SIGTERM. Needs only a POSIX shell, curl, and cmp.
 set -eu
 
 PORT="${DDSERVE_PORT:-8077}"
@@ -66,6 +67,45 @@ grep -q '"state":"done"' "$DIR/job3.json" || { cat "$DIR/job3.json" >&2; fail "w
 curl -sf "$BASE/v1/jobs/j3/result" >"$DIR/whatif-res.json"
 grep -q '"answer":4' "$DIR/whatif-res.json" || { cat "$DIR/whatif-res.json" >&2; fail "whatif answer wrong"; }
 echo "ddserve smoke: what-if answered"
+
+# Artifacts: a one-cell sweep with tracing, metrics sampling, and the
+# profiler armed. Every name the result lists must serve a non-empty body
+# with the Content-Type its extension implies; the resubmitted (cached)
+# cell must serve the same bytes.
+cat >"$DIR/instrumented.json" <<'EOF'
+{"cores":2,"warmupMs":5,"measureMs":20,"trace":true,"obsWindowUs":1000,"profile":true,
+ "jobs":[{"name":"db","class":"L","count":1},{"name":"bg","class":"T","count":1}],
+ "sweep":[{"param":"count:bg","values":[1]}]}
+EOF
+curl -sf -X POST --data-binary @"$DIR/instrumented.json" "$BASE/v1/sweeps?wait=1" >"$DIR/job4.json"
+grep -q '"state":"done"' "$DIR/job4.json" || { cat "$DIR/job4.json" >&2; fail "instrumented sweep did not finish"; }
+curl -sf "$BASE/v1/jobs/j4/result" >"$DIR/res4.json"
+ARTIFACTS=$(grep -o '"artifacts":\[[^]]*\]' "$DIR/res4.json" | sed 's/.*\[//; s/\]//; s/"//g; s/,/ /g')
+for want in trace.json trace.txt metrics.csv metrics.svg profile.txt profile.folded profile.svg profile.json; do
+    case " $ARTIFACTS " in
+    *" $want "*) ;;
+    *) cat "$DIR/res4.json" >&2; fail "instrumented cell does not list $want" ;;
+    esac
+done
+mkdir "$DIR/fresh" "$DIR/cached"
+for name in $ARTIFACTS; do
+    case "$name" in
+    *.json) want="application/json" ;;
+    *.csv) want="text/csv" ;;
+    *.svg) want="image/svg+xml" ;;
+    *) want="text/plain; charset=utf-8" ;;
+    esac
+    ctype=$(curl -sf -o "$DIR/fresh/$name" -w '%{content_type}' "$BASE/v1/jobs/j4/cells/0/$name") || fail "fetching $name"
+    [ -s "$DIR/fresh/$name" ] || fail "$name is empty"
+    [ "$ctype" = "$want" ] || fail "$name served as \"$ctype\", want \"$want\""
+done
+curl -sf -X POST --data-binary @"$DIR/instrumented.json" "$BASE/v1/sweeps?wait=1" >"$DIR/job5.json"
+grep -q '"cachedCells":1' "$DIR/job5.json" || { cat "$DIR/job5.json" >&2; fail "instrumented repeat not served from cache"; }
+for name in $ARTIFACTS; do
+    curl -sf -o "$DIR/cached/$name" "$BASE/v1/jobs/j5/cells/0/$name" || fail "fetching cached $name"
+    cmp -s "$DIR/fresh/$name" "$DIR/cached/$name" || fail "cached $name differs from the fresh run"
+done
+echo "ddserve smoke: $(echo "$ARTIFACTS" | wc -w | tr -d ' ') artifacts served, cache hit byte-identical"
 
 # Graceful shutdown: SIGTERM must drain and exit 0.
 kill -TERM "$PID"

@@ -1,6 +1,7 @@
 // Command benchjson captures the repo's performance baseline in one
-// machine-readable file. It runs the event-core microbenchmarks and the
-// whole-simulator benchmark through `go test -bench`, times a full
+// machine-readable file. It runs the event-core microbenchmarks, the
+// whole-simulator benchmark and the per-layer microbenchmarks (flash
+// programs, NVMe fetch arbitration) through `go test -bench`, times a full
 // `ddbench -quick all` sweep serially and in parallel, and writes the
 // results as JSON (BENCH_harness.json by default).
 //
@@ -41,6 +42,9 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Metrics holds the custom per-unit figures a benchmark reports with
+	// b.ReportMetric (ns/page, ns/fetch, ...), keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // DDBench is the wall-clock comparison of the experiment harness run
@@ -87,6 +91,9 @@ func realMain() int {
 		{"-bench", "BenchmarkSimulatorThroughput", "."},
 		{"-bench", "BenchmarkObsOff", "."},
 		{"-bench", "BenchmarkProfOff", "."},
+		// Per-layer microbenchmarks: reported, not guarded.
+		{"-bench", "BenchmarkFlashProgram128K", "./internal/flash"},
+		{"-bench", "BenchmarkNVMeFetchRR", "./internal/nvme"},
 	}
 	for _, r := range runs {
 		bs, err := runGoBench(r[1], r[2], benchtime)
@@ -159,8 +166,8 @@ func runGoBench(pattern, pkg, benchtime string) ([]Benchmark, error) {
 //
 //	BenchmarkName-8   1234   56.7 ns/op   8 B/op   1 allocs/op   9204 events
 //
-// Only the ns/op, B/op and allocs/op pairs are kept; custom metrics are
-// ignored.
+// The ns/op, B/op and allocs/op pairs fill their fields; any other
+// value/unit pair lands in Metrics.
 func parseBenchLines(out string) ([]Benchmark, error) {
 	var res []Benchmark
 	sc := bufio.NewScanner(strings.NewReader(out))
@@ -190,6 +197,11 @@ func parseBenchLines(out string) ([]Benchmark, error) {
 				b.BytesPerOp = v
 			case "allocs/op":
 				b.AllocsPerOp = v
+			default:
+				if b.Metrics == nil {
+					b.Metrics = map[string]float64{}
+				}
+				b.Metrics[f[i+1]] = v
 			}
 		}
 		res = append(res, b)

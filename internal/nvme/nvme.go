@@ -297,7 +297,7 @@ type Device struct {
 	fetchDone func() // fetch-completion continuation (fetchBusy serializes it)
 	wrrClass  int
 	wrrCredit int
-	classRR   map[QueueClass]int
+	classRR   [ClassLow + 1]int
 	errRNG    *sim.Rand
 
 	// freeCmds recycles command objects so the steady-state submission path
@@ -382,7 +382,7 @@ func New(eng *sim.Engine, pool *cpus.Pool, cfg Config) *Device {
 		}
 	}
 	d := &Device{cfg: cfg, eng: eng, pool: pool, media: flash.New(cfg.Flash),
-		classRR: map[QueueClass]int{}, errRNG: sim.NewRand(cfg.ErrorSeed + 0x5eed)}
+		errRNG: sim.NewRand(cfg.ErrorSeed + 0x5eed)}
 	d.wrrCredit = cfg.WRR.High
 	d.fetchDone = d.finishFetch
 	d.flashDoneFn = func(a any) { a.(*command).flashDone() }

@@ -1,19 +1,17 @@
 package sim
 
 // FIFORes models a resource that admits one holder at a time and grants
-// waiters in arrival order — a spinlock around NVMe submission-queue entries,
-// or a flash channel bus during a page transfer. Because the simulation is
-// single-threaded, "waiting" is expressed as a computed grant time rather
-// than actual blocking: the caller learns when it would have acquired the
-// resource and charges that wait to whatever it models (e.g. CPU busy time).
+// waiters in arrival order — the spinlock around an NVMe submission queue's
+// tail. Because the simulation is single-threaded, "waiting" is expressed
+// as a computed grant time rather than actual blocking: the caller learns
+// when it would have acquired the resource and charges that wait to
+// whatever it models (e.g. CPU busy time).
 type FIFORes struct {
 	freeAt Time
 
-	// Cumulative accounting, consumed by NQ merit calculations and by the
-	// §7.5 overhead experiments.
-	Acquisitions uint64
-	TotalWait    Duration
-	TotalHold    Duration
+	// TotalWait is the cumulative wait over every acquisition — the
+	// in-lock time that feeds NSQ merits.
+	TotalWait Duration
 }
 
 // Acquire requests the resource at instant now for hold time hold. It
@@ -23,13 +21,22 @@ func (r *FIFORes) Acquire(now Time, hold Duration) (grant Time, wait Duration) {
 	if hold < 0 {
 		panic("sim: negative hold time")
 	}
-	grant = MaxTime(now, r.freeAt)
+	grant = Acquire(&r.freeAt, now, hold)
 	wait = grant.Sub(now)
-	r.freeAt = grant.Add(hold)
-	r.Acquisitions++
 	r.TotalWait += wait
-	r.TotalHold += hold
 	return grant, wait
+}
+
+// Acquire is the FIFO grant rule on a bare busy horizon: a holder arriving
+// at now is granted at max(now, *free) and keeps the resource for hold, so
+// *free moves to grant + hold. Holders that need no wait accounting (the
+// flash dies and channel buses) keep a plain Time and call it directly.
+//
+//ddvet:hotpath
+func Acquire(free *Time, now Time, hold Duration) Time {
+	g := MaxTime(now, *free)
+	*free = g.Add(hold)
+	return g
 }
 
 // FreeAt reports when the resource next becomes free.
@@ -37,18 +44,3 @@ func (r *FIFORes) FreeAt() Time { return r.freeAt }
 
 // Busy reports whether the resource is held at instant now.
 func (r *FIFORes) Busy(now Time) bool { return r.freeAt > now }
-
-// AvgWait reports the mean wait per acquisition, or 0 with no acquisitions.
-func (r *FIFORes) AvgWait() Duration {
-	if r.Acquisitions == 0 {
-		return 0
-	}
-	return r.TotalWait / Duration(r.Acquisitions)
-}
-
-// Reset clears accounting but keeps the current occupancy.
-func (r *FIFORes) Reset() {
-	r.Acquisitions = 0
-	r.TotalWait = 0
-	r.TotalHold = 0
-}

@@ -36,6 +36,16 @@ func TestFIFOResChain(t *testing.T) {
 	}
 }
 
+func TestAcquireBareHorizon(t *testing.T) {
+	var free Time
+	if g := Acquire(&free, 100, 10); g != 100 || free != 110 {
+		t.Fatalf("idle horizon: grant=%v free=%v, want 100/110", g, free)
+	}
+	if g := Acquire(&free, 30, 5); g != 110 || free != 115 {
+		t.Fatalf("busy horizon: grant=%v free=%v, want 110/115", g, free)
+	}
+}
+
 func TestFIFOResBusy(t *testing.T) {
 	var r FIFORes
 	r.Acquire(0, 50)
@@ -52,24 +62,11 @@ func TestFIFOResAccounting(t *testing.T) {
 	r.Acquire(0, 10)
 	r.Acquire(0, 10) // waits 10
 	r.Acquire(0, 10) // waits 20
-	if r.Acquisitions != 3 {
-		t.Fatalf("Acquisitions = %d, want 3", r.Acquisitions)
-	}
 	if r.TotalWait != 30 {
 		t.Fatalf("TotalWait = %v, want 30", r.TotalWait)
 	}
-	if r.TotalHold != 30 {
-		t.Fatalf("TotalHold = %v, want 30", r.TotalHold)
-	}
-	if r.AvgWait() != 10 {
-		t.Fatalf("AvgWait = %v, want 10", r.AvgWait())
-	}
-	r.Reset()
-	if r.Acquisitions != 0 || r.TotalWait != 0 || r.AvgWait() != 0 {
-		t.Fatal("Reset did not clear accounting")
-	}
 	if r.FreeAt() != 30 {
-		t.Fatalf("Reset must preserve occupancy; FreeAt = %v, want 30", r.FreeAt())
+		t.Fatalf("FreeAt = %v, want 30", r.FreeAt())
 	}
 }
 

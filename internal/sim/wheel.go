@@ -63,11 +63,15 @@ type wheel struct {
 	cur int64
 	// count is the number of resident events (Pending includes them).
 	count int
-	// minTick caches a lower bound on every resident event's tick
-	// (0 = unknown, recompute by scanning). It lets prepare answer "is
-	// the heap top earlier than everything in the wheel?" with one
-	// compare instead of a bitmap scan per Step.
-	minTick int64
+	// pickLvl, pickSlot and pickLB cache wheelScan's answer: the slot to
+	// flush next and a lower bound on every resident event's tick
+	// (pickLB = 0: unknown, rescan). Every insert refines them with the
+	// scan's own rules, so prepare answers "is the heap top earlier than
+	// everything in the wheel?" with one compare, and a flush acts on the
+	// slot a previous call already found instead of scanning again.
+	pickLvl  int
+	pickSlot int
+	pickLB   int64
 	// arena is the carve source for first-touch slot capacity: slots take
 	// their initial wheelSlotSeed-event backing from one shared chunk, so
 	// a fresh engine pays one allocation per arenaChunk carves instead of
@@ -139,12 +143,18 @@ func (e *Engine) wheelInsert(ev event, tick int64) {
 	e.wh.slot[lvl][s] = append(sl, ev)
 	e.wh.occ[lvl] |= 1 << uint(s)
 	e.wh.count++
-	// Refine the cached bound. 0 means "unknown": it may only become
-	// known again via a scan or when this insert is the sole resident —
-	// seeding it from one insert while other slots hold events would
-	// fabricate a bound above their ticks.
-	if e.wh.count == 1 || (e.wh.minTick != 0 && tick < e.wh.minTick) {
-		e.wh.minTick = tick
+	// Refine the cached pick. An unknown pick may only become known again
+	// via a scan or when this insert is the sole resident — seeding it
+	// from one insert while other slots hold events would fabricate a
+	// bound above their ticks. The slot's bound is the one wheelScan
+	// computes: the window start, which for level 0 is the tick itself.
+	// The smaller bound wins; on a tie the higher level does, as in the
+	// scan.
+	shift := uint(wheelBits * lvl)
+	b := tick >> shift << shift
+	if e.wh.count == 1 || (e.wh.pickLB != 0 &&
+		(b < e.wh.pickLB || (b == e.wh.pickLB && lvl > e.wh.pickLvl))) {
+		e.wh.pickLvl, e.wh.pickSlot, e.wh.pickLB = lvl, s, b
 	}
 }
 
@@ -203,9 +213,10 @@ func (e *Engine) flush(lvl, slot int, lb int64) {
 	e.wh.slot[lvl][slot] = evs[:0]
 	e.wh.occ[lvl] &^= 1 << uint(slot)
 	e.wh.count -= len(evs)
-	// The flushed slot may have been the bound's witness; cascaded
-	// re-inserts below refine the cache again.
-	e.wh.minTick = 0
+	// The flushed slot was the pick. Cascaded re-inserts below seed a
+	// fresh one only if the wheel held nothing else; otherwise the next
+	// prepare rescans.
+	e.wh.pickLB = 0
 	if lvl == 0 {
 		e.wh.cur = lb
 		for _, ev := range evs {
@@ -240,16 +251,14 @@ func (e *Engine) prepare() bool {
 //ddvet:hotpath
 func (e *Engine) prepareWheel() bool {
 	for e.wh.count > 0 {
-		if len(e.events) > 0 && e.wh.minTick > 0 &&
-			e.events[0].at < Time(e.wh.minTick<<wheelTickShift) {
-			return true
+		if e.wh.pickLB == 0 {
+			e.wh.pickLvl, e.wh.pickSlot, e.wh.pickLB = e.wheelScan()
 		}
-		lvl, slot, lb := e.wheelScan()
-		e.wh.minTick = lb
+		lb := e.wh.pickLB
 		if len(e.events) > 0 && e.events[0].at < Time(lb<<wheelTickShift) {
 			return true
 		}
-		e.flush(lvl, slot, lb)
+		e.flush(e.wh.pickLvl, e.wh.pickSlot, lb)
 	}
 	return len(e.events) > 0
 }

@@ -230,3 +230,63 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("wheel steady-state scheduling allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestWheelCachedPickMatchesScan checks the cached flush pick against a
+// fresh wheelScan after every insert and every flush of a randomized
+// schedule that spans all levels, cascades and the overflow path: a known
+// pick must be exactly the (level, slot, bound) a scan would return.
+func TestWheelCachedPickMatchesScan(t *testing.T) {
+	spans := []int64{
+		wheelSlots << wheelTickShift,
+		(wheelSlots * wheelSlots) << wheelTickShift,
+		(wheelSlots * wheelSlots * wheelSlots * 2) << wheelTickShift,
+	}
+	known := 0
+	check := func(seed uint64, step int, what string, e *Engine) {
+		t.Helper()
+		if e.wh.pickLB == 0 {
+			return
+		}
+		known++
+		lvl, slot, lb := e.wheelScan()
+		if e.wh.pickLvl != lvl || e.wh.pickSlot != slot || e.wh.pickLB != lb {
+			t.Fatalf("seed %d step %d after %s: cached pick (%d, %d, %d), scan (%d, %d, %d)",
+				seed, step, what, e.wh.pickLvl, e.wh.pickSlot, e.wh.pickLB, lvl, slot, lb)
+		}
+	}
+	fn := func() {}
+	for seed := uint64(1); seed <= 30; seed++ {
+		rng := NewRand(seed)
+		e := New()
+		span := spans[seed%uint64(len(spans))]
+		for step := 0; step < 3000; step++ {
+			switch k := rng.Intn(10); {
+			case k < 6:
+				empty := e.wh.count == 0
+				e.At(e.Now().Add(Duration(rng.Int63n(span))), fn)
+				if empty && e.wh.count == 1 && e.wh.pickLB == 0 {
+					t.Fatalf("seed %d step %d: the sole resident left the pick unknown", seed, step)
+				}
+				check(seed, step, "insert", e)
+			case k < 8:
+				// One prepareWheel iteration, by hand: flush the scan's
+				// slot when the heap top cannot precede it.
+				if e.wh.count == 0 {
+					continue
+				}
+				lvl, slot, lb := e.wheelScan()
+				if len(e.events) > 0 && e.events[0].at < Time(lb<<wheelTickShift) {
+					continue
+				}
+				e.flush(lvl, slot, lb)
+				check(seed, step, "flush", e)
+			default:
+				e.Step()
+				check(seed, step, "step", e)
+			}
+		}
+	}
+	if known < 10000 {
+		t.Fatalf("the pick was known at only %d checks; the test no longer exercises the cache", known)
+	}
+}

@@ -19,6 +19,7 @@ package ftl
 
 import (
 	"fmt"
+	"unsafe"
 
 	"daredevil/internal/fault"
 	"daredevil/internal/flash"
@@ -109,7 +110,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ftl: PagesPerBlock = %d, must be positive", c.PagesPerBlock)
 	case c.BlocksPerDie < 3:
 		return fmt.Errorf("ftl: BlocksPerDie = %d, need at least 3 (active + GC reserve + data)", c.BlocksPerDie)
-	case c.OPPct < 2 || c.OPPct > 90:
+	case !(c.OPPct >= 2 && c.OPPct <= 90): // also rejects NaN
 		return fmt.Errorf("ftl: OPPct = %v out of [2,90]", c.OPPct)
 	case c.GCLowWater < 0 || c.GCHighWater < 0:
 		return fmt.Errorf("ftl: negative GC watermark")
@@ -123,6 +124,28 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ftl: ScramblePct = %d out of [0,100]", c.ScramblePct)
 	}
 	return nil
+}
+
+// Normalized returns the configuration with its defaults filled in:
+// GCBatchPages 8, GCLowWater 2 and GCHighWater one above the low mark.
+// Configurations that build the same device normalize to the same value,
+// which makes it a cache key for aged images.
+func (c Config) Normalized() Config {
+	if c.GCBatchPages == 0 {
+		c.GCBatchPages = 8
+	}
+	// Watermarks default to a fixed clean-block reserve. Keeping it small
+	// and OP-independent is deliberate: clean blocks held free are spare
+	// capacity that can't serve as data-block invalidity, so a reserve that
+	// scaled with OP would eat exactly the slack that is supposed to make
+	// GC cheaper.
+	if c.GCLowWater == 0 {
+		c.GCLowWater = 2
+	}
+	if c.GCHighWater == 0 {
+		c.GCHighWater = c.GCLowWater + 1
+	}
+	return c
 }
 
 // Stats accumulates FTL activity since the last ResetStats.
@@ -226,8 +249,6 @@ type Device struct {
 	numDies   int
 	physPages int64
 	logPages  int64
-	lowWater  int
-	highWater int
 
 	l2p    []int32 // logical page → physical page (-1 unmapped)
 	p2l    []int32 // physical page → logical page (-1 invalid or free)
@@ -260,67 +281,130 @@ type Device struct {
 	GCPauses stats.Histogram
 }
 
-// New builds an FTL over media, pre-conditions it per the configuration, and
-// resets statistics so measurements start from the aged state. It panics on
-// invalid configuration (construction-time misconfiguration is a programming
-// error), including a media configuration without a positive EraseLatency.
-func New(eng *sim.Engine, media *flash.Device, cfg Config) *Device {
+// Image is the aged state of an FTL: the mapping tables, block bookkeeping,
+// free lists and allocation cursor that preconditioning leaves, with no
+// device or engine attached. It is a pure function of the normalized
+// Config and the die count, and nothing writes it after NewImage returns,
+// so any number of devices — on any number of goroutines — may be cloned
+// from one image.
+type Image struct {
+	cfg       Config // normalized
+	numDies   int
+	physPages int64
+	logPages  int64
+
+	l2p    []int32
+	p2l    []int32
+	blocks []blockMeta
+	// free holds each die's free list at the front of its BlocksPerDie
+	// slots; dies holds the list lengths and the host write streams.
+	free    []int
+	dies    []imageDie
+	allocRR int
+}
+
+// imageDie is one die's allocation state in an Image.
+type imageDie struct {
+	nfree    int // length of the die's free list
+	active   int // open host block (-1 none)
+	writePtr int // next page slot in it
+}
+
+// NewImage ages a device of the given die count per cfg. It panics on an
+// invalid configuration or one with no logical capacity.
+func NewImage(cfg Config, dies int) *Image {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	cfg = cfg.Normalized()
+	img := &Image{cfg: cfg, numDies: dies}
+	img.physPages = int64(dies) * int64(cfg.BlocksPerDie) * int64(cfg.PagesPerBlock)
+	img.logPages = img.physPages * int64((100-cfg.OPPct)*100) / 10000
+	if img.logPages <= 0 {
+		panic("ftl: zero logical capacity")
+	}
+	img.l2p = make([]int32, img.logPages)
+	img.p2l = make([]int32, img.physPages)
+	img.blocks = make([]blockMeta, dies*cfg.BlocksPerDie)
+	img.free = make([]int, dies*cfg.BlocksPerDie)
+	img.dies = make([]imageDie, dies)
+	img.precondition()
+	return img
+}
+
+// Bytes reports the memory the image's tables hold.
+func (img *Image) Bytes() int64 {
+	return int64(len(img.l2p)+len(img.p2l))*int64(unsafe.Sizeof(int32(0))) +
+		int64(len(img.blocks))*int64(unsafe.Sizeof(blockMeta{})) +
+		int64(len(img.free))*int64(unsafe.Sizeof(int(0))) +
+		int64(len(img.dies))*int64(unsafe.Sizeof(imageDie{}))
+}
+
+// New builds an FTL over media, pre-conditioned per the configuration, with
+// statistics starting from the aged state. It panics on invalid
+// configuration (construction-time misconfiguration is a programming
+// error), including a media configuration without a positive EraseLatency.
+func New(eng *sim.Engine, media *flash.Device, cfg Config) *Device {
+	return NewFromImage(eng, media, NewImage(cfg, media.NumChips()))
+}
+
+// NewFromImage builds an FTL over media in the aged state img holds. It
+// only reads img. It panics when media has a different die count or no
+// positive EraseLatency.
+func NewFromImage(eng *sim.Engine, media *flash.Device, img *Image) *Device {
 	if media.Config().EraseLatency <= 0 {
 		panic("ftl: media EraseLatency must be positive for an FTL-managed device")
 	}
-	if cfg.GCBatchPages == 0 {
-		cfg.GCBatchPages = 8
+	if media.NumChips() != img.numDies {
+		panic(fmt.Sprintf("ftl: image for %d dies on media with %d", img.numDies, media.NumChips()))
 	}
+	bpd := img.cfg.BlocksPerDie
 	d := &Device{
-		cfg:      cfg,
-		eng:      eng,
-		media:    media,
-		pageSize: media.Config().PageSize,
-		ppb:      cfg.PagesPerBlock,
-		numDies:  media.NumChips(),
+		cfg:       img.cfg,
+		eng:       eng,
+		media:     media,
+		pageSize:  media.Config().PageSize,
+		ppb:       img.cfg.PagesPerBlock,
+		numDies:   img.numDies,
+		physPages: img.physPages,
+		logPages:  img.logPages,
+		l2p:       clone(img.l2p),
+		p2l:       clone(img.p2l),
+		blocks:    clone(img.blocks),
+		dies:      make([]dieState, img.numDies),
+		allocRR:   img.allocRR,
 	}
-	d.physPages = int64(d.numDies) * int64(cfg.BlocksPerDie) * int64(d.ppb)
-	d.logPages = d.physPages * int64((100-cfg.OPPct)*100) / 10000
-	if d.logPages <= 0 {
-		panic("ftl: zero logical capacity")
-	}
-	// Watermarks default to a fixed clean-block reserve. Keeping it small
-	// and OP-independent is deliberate: clean blocks held free are spare
-	// capacity that can't serve as data-block invalidity, so a reserve that
-	// scaled with OP would eat exactly the slack that is supposed to make
-	// GC cheaper.
-	d.lowWater = cfg.GCLowWater
-	if d.lowWater == 0 {
-		d.lowWater = 2
-	}
-	d.highWater = cfg.GCHighWater
-	if d.highWater == 0 {
-		d.highWater = d.lowWater + 1
-	}
-
-	d.l2p = make([]int32, d.logPages)
-	d.p2l = make([]int32, d.physPages)
 	d.wakeGCFn = func(arg any) { d.maybeGC(arg.(*dieState).id) }
-	d.blocks = make([]blockMeta, d.numDies*cfg.BlocksPerDie)
-	d.dies = make([]dieState, d.numDies)
-	for i := range d.dies {
-		die := &d.dies[i]
-		die.id = i
-		die.active = -1
-		die.gcActive = -1
-		die.gcVictim = -1
-		die.free = make([]int, cfg.BlocksPerDie)
-		for b := range die.free {
-			die.free[b] = b
-			d.blocks[i*cfg.BlocksPerDie+b].free = true
+	// Every die's free list gets its own BlocksPerDie slots of one backing
+	// array, so erases append in place and never reach a neighbour's list.
+	free := clone(img.free)
+	for i, src := range img.dies {
+		d.dies[i] = dieState{
+			free:     free[i*bpd : i*bpd+src.nfree : (i+1)*bpd],
+			active:   src.active,
+			writePtr: src.writePtr,
+			gcActive: -1,
+			gcVictim: -1,
+			id:       i,
 		}
 	}
-	d.precondition()
-	d.ResetStats()
 	return d
+}
+
+// cloneChunk bounds each copy clone issues. Go's memmove switches to
+// non-temporal stores at 1 MiB on amd64, which would leave a freshly cloned
+// multi-megabyte table out of cache just before the run walks it; 16 Ki
+// elements of at most 32 bytes stay under that threshold.
+const cloneChunk = 16 << 10
+
+// clone copies src into a new slice chunk by chunk, so the copy stays
+// cache-resident.
+func clone[T any](src []T) []T {
+	dst := make([]T, len(src))
+	for i := 0; i < len(src); i += cloneChunk {
+		copy(dst[i:], src[i:min(i+cloneChunk, len(src))])
+	}
+	return dst
 }
 
 // Config returns the FTL configuration.
@@ -629,7 +713,7 @@ func (d *Device) unmapPhys(pp int32) {
 // the low watermark.
 func (d *Device) maybeGC(die int) {
 	ds := &d.dies[die]
-	if ds.gcOn || len(ds.free) >= d.lowWater {
+	if ds.gcOn || len(ds.free) >= d.cfg.GCLowWater {
 		return
 	}
 	ds.gcOn = true
@@ -640,7 +724,7 @@ func (d *Device) maybeGC(die int) {
 // high watermark / when nothing is reclaimable).
 func (d *Device) gcBeginRound(die int) {
 	ds := &d.dies[die]
-	if len(ds.free) >= d.highWater {
+	if len(ds.free) >= d.cfg.GCHighWater {
 		ds.gcOn = false
 		return
 	}
@@ -748,7 +832,7 @@ func (d *Device) eraseBlock(die, victim int) sim.Time {
 	eraseDone := d.media.SubmitAtDie(d.eng.Now(), die, flash.Erase)
 	meta.erases++
 	d.st.Erases++
-	if meta.bad && len(ds.free) >= d.lowWater && ds.retired < d.cfg.BlocksPerDie/4 {
+	if meta.bad && len(ds.free) >= d.cfg.GCLowWater && ds.retired < d.cfg.BlocksPerDie/4 {
 		// Grown-bad block: retire it instead of returning it to the free
 		// pool. Retirement is skipped when the die is short on clean blocks
 		// (losing one would starve the GC reserve) or has already lost a
@@ -851,7 +935,7 @@ func (d *Device) foregroundGC(now sim.Time) int {
 	panic("ftl: no die reclaimable under write pressure (logical capacity exceeds physical?)")
 }
 
-// precondition ages the device: map PreconditionPct of the logical space
+// precondition ages the image: map PreconditionPct of the logical space
 // sequentially, then overwrite ScramblePct of those pages in a
 // deterministic pseudo-random order to fragment block validity. It runs in
 // pure accounting (no media work, no events) — preconditioning happens
@@ -871,52 +955,55 @@ func (d *Device) foregroundGC(now sim.Time) int {
 // facts make that exact. Every die starts unworn with a sorted free list,
 // so blocks open in index order. No GC runs while the device ages, so
 // nothing moves a written page. And every die has the same writable
-// capacity C = max(0, BlocksPerDie-highWater)·PagesPerBlock under strict
+// capacity C = max(0, BlocksPerDie-GCHighWater)·PagesPerBlock under strict
 // round-robin, so write j of the fill-then-scramble stream lands on die
 // (j+1) mod N at die-local page ⌊j/N⌋, and the stream stops after N·C
 // writes.
-func (d *Device) precondition() {
-	n := int64(d.numDies)
-	ppb := int64(d.ppb)
-	diePages := int64(d.cfg.BlocksPerDie) * ppb
-	writable := n * int64(max(0, d.cfg.BlocksPerDie-d.highWater)) * ppb
-	fill := d.logPages * int64(d.cfg.PreconditionPct) / 100
+func (img *Image) precondition() {
+	cfg := img.cfg
+	n := int64(img.numDies)
+	ppb := int64(cfg.PagesPerBlock)
+	bpd := cfg.BlocksPerDie
+	diePages := int64(bpd) * ppb
+	writable := n * int64(max(0, bpd-cfg.GCHighWater)) * ppb
+	fill := img.logPages * int64(cfg.PreconditionPct) / 100
 	seq := min(fill, writable)
 	total := seq
-	if d.cfg.ScramblePct > 0 && fill > 0 {
-		total += min(fill*int64(d.cfg.ScramblePct)/100, writable-seq)
+	if cfg.ScramblePct > 0 && fill > 0 {
+		total += min(fill*int64(cfg.ScramblePct)/100, writable-seq)
 	}
 
 	// Per-die bookkeeping: die d took every write j ≡ d-1 (mod N), filling
-	// its blocks in index order from the front of its free list.
-	for die := range d.dies {
+	// its blocks in index order from the front of its sorted free list.
+	for die := range img.dies {
 		r := (int64(die) + n - 1) % n
 		written := total / n
 		if r < total%n {
 			written++
 		}
-		ds := &d.dies[die]
 		opened := int((written + ppb - 1) / ppb)
-		base := die * d.cfg.BlocksPerDie
-		for b := 0; b < opened; b++ {
-			meta := &d.blocks[base+b]
-			meta.free = false
-			meta.valid = int(min(ppb, written-int64(b)*ppb))
+		base := die * bpd
+		for b := 0; b < bpd; b++ {
+			if b < opened {
+				img.blocks[base+b].valid = int(min(ppb, written-int64(b)*ppb))
+			} else {
+				img.blocks[base+b].free = true
+				img.free[base+b-opened] = b
+			}
 		}
+		img.dies[die] = imageDie{nfree: bpd - opened, active: opened - 1}
 		if opened > 0 {
-			ds.active = opened - 1
-			ds.writePtr = int(written - int64(opened-1)*ppb)
+			img.dies[die].writePtr = int(written - int64(opened-1)*ppb)
 		}
-		ds.free = ds.free[:copy(ds.free, ds.free[opened:])]
 		// Pages the stream never reached stay invalid; it writes the rest.
-		tail := d.p2l[int64(die)*diePages+written : int64(die+1)*diePages]
+		tail := img.p2l[int64(die)*diePages+written : int64(die+1)*diePages]
 		for i := range tail {
 			tail[i] = -1
 		}
 	}
-	d.allocRR = int(total % n)
+	img.allocRR = int(total % n)
 
-	unmapped := d.l2p[seq:]
+	unmapped := img.l2p[seq:]
 	for i := range unmapped {
 		unmapped[i] = -1
 	}
@@ -931,23 +1018,23 @@ func (d *Device) precondition() {
 				if j >= seq {
 					break
 				}
-				d.l2p[j] = int32(base + k)
-				d.p2l[base+k] = int32(j)
+				img.l2p[j] = int32(base + k)
+				img.p2l[base+k] = int32(j)
 			}
 		}
 	}
 	// Scramble: the same seeded overwrite stream, each write invalidating
 	// the page's previous copy.
 	if total > seq {
-		rng := sim.NewRand(d.cfg.Seed + 0xa9ed)
+		rng := sim.NewRand(cfg.Seed + 0xa9ed)
 		for j := seq; j < total; j++ {
 			lp := rng.Int63n(fill)
-			old := d.l2p[lp]
-			d.p2l[old] = -1
-			d.blocks[d.blockOfPhys(old)].valid--
+			old := img.l2p[lp]
+			img.p2l[old] = -1
+			img.blocks[int64(old)/ppb].valid--
 			pp := int32((j+1)%n*diePages + j/n)
-			d.l2p[lp] = pp
-			d.p2l[pp] = int32(lp)
+			img.l2p[lp] = pp
+			img.p2l[pp] = int32(lp)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package ftl
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"daredevil/internal/fault"
 	"daredevil/internal/flash"
 	"daredevil/internal/sim"
 )
@@ -56,6 +58,7 @@ func TestConfigValidate(t *testing.T) {
 		{PagesPerBlock: 16, BlocksPerDie: 2, OPPct: 7},
 		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 1},
 		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 95},
+		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: math.NaN()},
 		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 7, GCLowWater: 3, GCHighWater: 2},
 		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 7, PreconditionPct: 101},
 		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 7, ScramblePct: -1},
@@ -328,7 +331,7 @@ func referencePreWrite(d *Device, lp int64) bool {
 	for i := 1; i <= d.numDies; i++ {
 		die := (d.allocRR + i) % d.numDies
 		ds := &d.dies[die]
-		if (ds.active >= 0 && ds.writePtr < d.ppb) || len(ds.free) > d.highWater {
+		if (ds.active >= 0 && ds.writePtr < d.ppb) || len(ds.free) > d.cfg.GCHighWater {
 			d.allocRR = die
 			pp := d.allocPage(die, 0, false)
 			if old := d.l2p[lp]; old >= 0 {
@@ -343,12 +346,13 @@ func referencePreWrite(d *Device, lp int64) bool {
 	return false
 }
 
-// checkPreconditionMatchesReference builds the aged device through New and
-// again by running referencePrecondition over an unaged one, and fails
-// unless the two states are identical.
+// checkPreconditionMatchesReference clones the aged device from an image
+// and builds it again by running referencePrecondition over an unaged one,
+// and fails unless the two states are identical.
 func checkPreconditionMatchesReference(t *testing.T, fc flash.Config, cfg Config) {
 	t.Helper()
-	got := New(sim.New(), flash.New(fc), cfg)
+	img := NewImage(cfg, fc.Channels*fc.ChipsPerChannel)
+	got := NewFromImage(sim.New(), flash.New(fc), img)
 	unaged := cfg
 	unaged.PreconditionPct, unaged.ScramblePct = 0, 0
 	want := New(sim.New(), flash.New(fc), unaged)
@@ -357,8 +361,16 @@ func checkPreconditionMatchesReference(t *testing.T, fc flash.Config, cfg Config
 	referencePrecondition(want)
 
 	if err := got.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after New: %v", err)
+		t.Fatalf("invariants after NewFromImage: %v", err)
 	}
+	checkSameState(t, got, want)
+}
+
+// checkSameState fails unless two devices hold the same mapping tables,
+// block bookkeeping, per-die state (free lists with equal capacity) and
+// allocation cursor.
+func checkSameState(t *testing.T, got, want *Device) {
+	t.Helper()
 	checkTable(t, "l2p", got.l2p, want.l2p)
 	checkTable(t, "p2l", got.p2l, want.p2l)
 	for b := range got.blocks {
@@ -472,6 +484,44 @@ func TestPreconditionMatchesReference(t *testing.T) {
 	}
 }
 
+// TestImageClonesAreIsolated drives one clone of an image through host
+// writes, TRIM, GC rounds and grown-bad blocks, and fails if the image or a
+// sibling clone observed any of it.
+func TestImageClonesAreIsolated(t *testing.T) {
+	const dies = 8
+	img := NewImage(smallFTL(), dies)
+	clone := func(eng *sim.Engine) *Device { return NewFromImage(eng, flash.New(smallFlash()), img) }
+	eng := sim.New()
+	d := clone(eng)
+	sibling := clone(sim.New())
+
+	d.AttachFault(fault.NewInjector(fault.Schedule{Seed: 5, ProgramFailProb: 0.02}))
+	churn(eng, d, 42, 2000)
+	if n := d.Trim(0, 256*4096); n == 0 {
+		t.Fatal("trim of a mapped range invalidated nothing")
+	}
+	eng.Run()
+	churn(eng, d, 43, 2000)
+	st := d.Stats()
+	if st.GCRuns == 0 || st.TrimmedPages == 0 || st.ProgramFailures == 0 || st.GrownBadBlocks == 0 {
+		t.Fatalf("the driven clone skipped GC, TRIM or grown-bad blocks: %+v", st)
+	}
+
+	if !reflect.DeepEqual(img, NewImage(smallFTL(), dies)) {
+		t.Fatal("driving a clone changed the image it came from")
+	}
+	fresh := clone(sim.New())
+	checkSameState(t, sibling, fresh)
+	if sibling.Stats() != (Stats{}) {
+		t.Fatalf("sibling clone has stats %+v", sibling.Stats())
+	}
+	for i, dev := range []*Device{d, sibling, fresh} {
+		if err := dev.CheckInvariants(); err != nil {
+			t.Errorf("clone %d (driven, sibling, fresh): %v", i, err)
+		}
+	}
+}
+
 func FuzzPrecondition(f *testing.F) {
 	f.Add(uint8(8), uint8(16), uint8(16), uint8(30), uint8(100), uint8(30), uint8(0), uint8(0), uint64(7))
 	f.Add(uint8(3), uint8(3), uint8(5), uint8(2), uint8(100), uint8(100), uint8(0), uint8(0), uint64(1))
@@ -513,5 +563,18 @@ func BenchmarkFTLNew(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchDevice = New(eng, media, cfg)
+	}
+}
+
+// BenchmarkFTLNewFromImage clones the default aged device from its image:
+// what an FTL-backed cell pays once the image is cached.
+func BenchmarkFTLNewFromImage(b *testing.B) {
+	eng := sim.New()
+	media := flash.New(flash.DefaultConfig())
+	img := NewImage(DefaultConfig(), media.NumChips())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDevice = NewFromImage(eng, media, img)
 	}
 }

@@ -94,7 +94,8 @@ type Env struct {
 	Obs *obs.Observer
 }
 
-// NewEnv constructs the simulated machine and the requested stack.
+// NewEnv constructs the simulated machine and the requested stack. An FTL
+// device is copied from the process-wide cache of aged images.
 func NewEnv(m Machine, kind StackKind) *Env {
 	if m.Fault != nil && m.NVMe.CmdTimeout == 0 {
 		// Host recovery must be armed whenever faults are in play; 30ms is
@@ -111,7 +112,7 @@ func NewEnv(m Machine, kind StackKind) *Env {
 		dev.AttachFault(e.Fault)
 	}
 	if m.FTL != nil {
-		e.FTL = ftl.New(eng, dev.Media(), *m.FTL)
+		e.FTL = ftl.NewFromImage(eng, dev.Media(), images.get(*m.FTL, dev.Media().NumChips()))
 		dev.AttachFTL(e.FTL)
 		if e.Fault != nil {
 			e.FTL.AttachFault(e.Fault)

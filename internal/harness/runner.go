@@ -9,11 +9,12 @@ import (
 
 // Every experiment is a grid of independent (stack × config) cells, and
 // each cell builds its own sim.Engine, cpus.Pool, nvme.Device, and random
-// streams in NewEnv — there is no mutable state shared between cells. That
-// makes experiment fan-out embarrassingly parallel: the Runner executes
-// cells on a worker pool, and because every cell writes its typed result
-// into a pre-assigned grid slot, parallel output is assembled in
-// deterministic grid order and is bit-identical to a serial run.
+// streams in NewEnv (an aged FTL is copied from a read-only image) — there
+// is no mutable state shared between cells. That makes experiment fan-out
+// embarrassingly parallel: the Runner executes cells on a worker pool, and
+// because every cell writes its typed result into a pre-assigned grid
+// slot, parallel output is assembled in deterministic grid order and is
+// bit-identical to a serial run.
 
 // Runner executes independent simulation cells on a pool of workers.
 type Runner struct {
